@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .fields import VectorField
+from .linalg import ExactMatrix, determinant, rank
 from .lyapunov import linear_parts_in, lyapunov_quantities, normalize_at
 from .poly import MultiPoly, format_poly, parse_poly
 from .resultants import multivariate_gcd, normalize_unit
@@ -26,7 +27,7 @@ from .roots import (
     real_roots,
     sign_at_root,
 )
-from .scalars import is_zero, scalar_sign
+from .scalars import inverse
 
 _LINE = {"P": "4*x^2 - 1", "Q": "4*y^2 - 1"}
 
@@ -74,8 +75,7 @@ def ratfunc(num: MultiPoly, den: Optional[MultiPoly] = None) -> RatFunc:
     nd = normalize_unit(den)
     c = den.leading()[1] / nd.leading()[1]
     if c != 1:
-        inv = c.inverse() if hasattr(c, "inverse") else Fraction(1) / c
-        num = num * inv
+        num = num * inverse(c)
     return RatFunc(num, nd)
 
 
@@ -85,59 +85,6 @@ def _rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
 
 def _rf_mul_poly(a: RatFunc, p: MultiPoly) -> RatFunc:
     return ratfunc(a.num * p, a.den)
-
-
-# -- polynomial matrix helpers ----------------------------------------------------
-
-
-def _poly_det(rows: list) -> MultiPoly:
-    """Determinant by cofactor expansion (division-free; sizes here are tiny)."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for c in range(n):
-        if rows[0][c].is_zero():
-            continue
-        minor = [[rows[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = rows[0][c] * _poly_det(minor)
-        if c % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return MultiPoly.zero(rows[0][0].variables)
-    return total
-
-
-def _poly_rank(rows: list, record_pivots: Optional[list] = None) -> int:
-    """Rank over the fraction field, by fraction-free elimination."""
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if not mat[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][c].is_zero():
-                continue
-            mat[r] = [
-                mat[r][j] * mat[rank][c] - mat[rank][j] * mat[r][c]
-                for j in range(ncols)
-            ]
-        if record_pivots is not None:
-            record_pivots.append(c)
-        rank += 1
-    return rank
 
 
 # -- perturbation setup ------------------------------------------------------------
@@ -367,7 +314,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     )
     A = linear_parts_in(rep, setup.lambda_symbols)
     rest_vars = A[0][0].variables if A else ()
-    k = _poly_rank(A)
+    k = rank(ExactMatrix(A))
     common = dict(A=A, quantities=rep.quantities)
     if k == 0:
         return _fail(0, point, symmetric, "all linear parts vanish identically", **common)
@@ -380,7 +327,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
                      **common)
     B = A[: k - 1]
     pivots: list = []
-    if B and _poly_rank(B, record_pivots=pivots) != k - 1:
+    if B and rank(ExactMatrix(B), pivots) != k - 1:
         return _fail(k, point, symmetric,
                      "leading rows of the linear-part matrix are dependent", **common)
 
@@ -392,7 +339,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
         m_polys = []
         for c in range(p):
             minor = [[B[r][cc] for cc in range(p) if cc != c] for r in range(k - 1)]
-            d = _poly_det(minor)
+            d = determinant(ExactMatrix(minor))
             m_polys.append(-d if c % 2 else d)
         for r in range(k - 1):
             chk = MultiPoly.zero(rest_vars)
@@ -409,7 +356,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     M = [[zero_rf for _ in range(k)] for _ in range(p)]
     if k > 1:
         sub = [[B[r][c] for c in pivots] for r in range(k - 1)]
-        det = _poly_det(sub)
+        det = determinant(ExactMatrix(sub))
         if det.is_zero():
             return _fail(k, point, symmetric, "pivot submatrix is singular", **common)
         for j in range(k - 1):
@@ -418,7 +365,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
                     [sub[rr][cc] for cc in range(k - 1) if cc != r]
                     for rr in range(k - 1) if rr != j
                 ]
-                cof = _poly_det(minor) if k - 1 > 1 else one
+                cof = determinant(ExactMatrix(minor)) if k > 2 else one
                 if (r + j) % 2:
                     cof = -cof
                 M[pivots[r]][j] = ratfunc(cof, det)

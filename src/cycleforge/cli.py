@@ -16,17 +16,8 @@ import tempfile
 from fractions import Fraction
 
 from . import bifurcation, centers, dynamics, fields, integrate, lyapunov
-from .poly import MultiPoly, PolyParseError, format_poly, parse_poly
+from .poly import PolyParseError, parse_poly
 from .resultants import cascade
-
-
-def worker_count() -> int:
-    """Worker cap from CYCLEFORGE_THREADS (default 1)."""
-    try:
-        n = int(os.environ.get("CYCLEFORGE_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 FAMILIES = {
@@ -47,7 +38,7 @@ def _write_out(text: str, out: str | None) -> None:
     d = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".cycleforge-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, out)
     except BaseException:
@@ -90,11 +81,17 @@ def _load_family(args) -> fields.VectorField:
     raise InputError("need --family or --file")
 
 
-def _parse_binding(spec: str | None) -> dict:
+def _check_parameters(flag: str, names, fam: fields.VectorField) -> None:
+    unknown = [n for n in names if n not in fam.parameters]
+    if unknown:
+        raise InputError(f"{flag} names unknown parameter {unknown[0]!r}; "
+                         f"the family has {list(fam.parameters)}")
+
+
+def _parse_binding(spec: str | None, fam: fields.VectorField) -> dict:
+    """--bind as {name: Fraction}; every parameter of fam must be bound."""
     out = {}
-    if not spec:
-        return out
-    for part in spec.split(","):
+    for part in spec.split(",") if spec else ():
         if "=" not in part:
             raise InputError(f"bad binding {part!r}; expected name=value")
         name, val = part.split("=", 1)
@@ -102,6 +99,10 @@ def _parse_binding(spec: str | None) -> dict:
             out[name.strip()] = Fraction(val.strip())
         except ValueError:
             raise InputError(f"bad rational value {val!r} for {name.strip()!r}")
+    _check_parameters("--bind", out, fam)
+    unbound = [v for v in fam.parameters if v not in out]
+    if unbound:
+        raise InputError(f"--bind leaves {', '.join(unbound)} unbound")
     return out
 
 
@@ -148,8 +149,9 @@ def _cmd_center_certify(args) -> int:
 
 def _cmd_eliminate(args) -> int:
     fam = _load_family(args)
-    rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
     order = [s.strip() for s in args.order.split(",")]
+    _check_parameters("--order", order, fam)
+    rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
     traces = cascade(rep.quantities, order, coeff_bound=args.bound)
     _emit_json([t.to_json() for t in traces], args.out)
     return 0
@@ -181,47 +183,39 @@ def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
 def _cmd_bifurcate(args) -> int:
     if not args.prop and not args.setup:
         raise InputError("need --prop or --setup")
-    if args.setup:
-        setup = _load_setup(args.setup)
+    label = None if args.setup else args.prop
+    if label in (None, "P7", "P8", "P9b", "T1c"):
+        if label is None:
+            setup = _load_setup(args.setup)
+        elif label == "T1c":
+            setup = bifurcation.p9_setup()
+        else:
+            setup = bifurcation.CANNED_SETUPS[label]()
         rep = bifurcation.ggt_analyze(setup, N=args.N)
-        _emit_json(rep.to_json(), args.out)
-        return 1 if (args.strict and rep.verdict[0] != "k_plus_ell_cycles") else 0
-    label = args.prop
-    if label in ("P7", "P8", "P9b"):
-        setup = bifurcation.CANNED_SETUPS[label]()
-        rep = bifurcation.ggt_analyze(setup, N=args.N)
+        ok = rep.verdict[0] == "k_plus_ell_cycles"
         out = rep.to_json()
         if label == "P9b":
-            out["mirror_total"] = (
-                bifurcation.mirror_count(rep)
-                if rep.verdict[0] == "k_plus_ell_cycles" else None
-            )
-        _emit_json(out, args.out)
-        return 1 if (args.strict and rep.verdict[0] != "k_plus_ell_cycles") else 0
-    if label == "T1c":
-        rep = bifurcation.ggt_analyze(bifurcation.p9_setup(), N=args.N)
-        ok = rep.verdict[0] == "k_plus_ell_cycles"
-        out = {
-            "setting": "two nests around the symmetric pair of centers",
-            "per_nest": rep.verdict[1] if ok else None,
-            "total": bifurcation.mirror_count(rep) if ok else None,
-            "report": rep.to_json(),
-        }
-        _emit_json(out, args.out)
-        return 1 if (args.strict and not ok) else 0
-    if label == "P9c":
-        setup = bifurcation.p9_setup()
-        res = bifurcation.hopf_order_one(setup, {"mu": Fraction(0)})
-        total = 2 if res == "one_cycle" else 0
-        _emit_json({"hopf": res, "per_nest": 1 if res == "one_cycle" else 0,
-                    "total": total}, args.out)
-        return 1 if (args.strict and res != "one_cycle") else 0
-    raise InputError(f"unknown analysis label {label!r}")
+            out["mirror_total"] = bifurcation.mirror_count(rep) if ok else None
+        elif label == "T1c":
+            out = {
+                "setting": "two nests around the symmetric pair of centers",
+                "per_nest": rep.verdict[1] if ok else None,
+                "total": bifurcation.mirror_count(rep) if ok else None,
+                "report": out,
+            }
+    elif label == "P9c":
+        res = bifurcation.hopf_order_one(bifurcation.p9_setup(), {"mu": Fraction(0)})
+        ok = res == "one_cycle"
+        out = {"hopf": res, "per_nest": 1 if ok else 0, "total": 2 if ok else 0}
+    else:
+        raise InputError(f"unknown analysis label {label!r}")
+    _emit_json(out, args.out)
+    return 1 if (args.strict and not ok) else 0
 
 
 def _cmd_singular(args) -> int:
     fam = _load_family(args)
-    binding = _parse_binding(args.bind)
+    binding = _parse_binding(args.bind, fam)
     rep = dynamics.singularities_in_delta(fam, binding, region=args.region)
     _emit_json(rep.to_json(), args.out)
     return 1 if (args.strict and rep.degenerate_family) else 0
@@ -229,7 +223,7 @@ def _cmd_singular(args) -> int:
 
 def _cmd_berlinskii(args) -> int:
     fam = _load_family(args)
-    binding = _parse_binding(args.bind)
+    binding = _parse_binding(args.bind, fam)
     if args.raw_pair:
         fb = fam.bind(binding)
         rep = dynamics.pair_report(fb.f, fb.g)
@@ -243,7 +237,7 @@ def _cmd_berlinskii(args) -> int:
 
 def _cmd_simulate(args) -> int:
     fam = _load_family(args)
-    binding = _parse_binding(args.bind)
+    binding = _parse_binding(args.bind, fam)
     try:
         x0 = tuple(float(t) for t in args.start.split(","))
         if len(x0) != 2:
@@ -254,25 +248,7 @@ def _cmd_simulate(args) -> int:
         fam, binding, x0, args.tmax, rtol=args.rtol, atol=args.atol,
         samples=args.samples,
     )
-    if args.out:
-        d = os.path.dirname(os.path.abspath(args.out))
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".cycleforge-")
-        os.close(fd)
-        try:
-            traj.to_csv(tmp)
-            os.replace(tmp, args.out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    else:
-        import io
-
-        buf = io.StringIO()
-        buf.write("t,x,y\n")
-        for ti, (xi, yi) in zip(traj.t, traj.xy):
-            buf.write(f"{float(ti)!r},{float(xi)!r},{float(yi)!r}\n")
-        sys.stdout.write(buf.getvalue())
+    _write_out(traj.csv_text(), args.out)
     if traj.status != "ok":
         sys.stderr.write(f"warning: {traj.diagnostic}\n")
         return 1 if args.strict else 0
@@ -381,16 +357,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse uses 2 for usage errors already
         return int(e.code or 0)
-    for tol in ("rtol", "atol"):
-        if getattr(args, tol, 1.0) <= 0:
-            sys.stderr.write(f"error: --{tol} must be positive\n")
-            return 2
     try:
+        for tol in ("rtol", "atol"):
+            if getattr(args, tol, 1.0) <= 0:
+                raise InputError(f"--{tol} must be positive")
+        if getattr(args, "N", None) is not None and args.N < 1:
+            raise InputError(f"--N must be at least 1, got {args.N}")
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (PolyParseError, ValueError, ArithmeticError) as e:
+    except (InputError, PolyParseError, ValueError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -16,7 +16,12 @@ from typing import Mapping, Optional, Sequence
 from .centers import cofactor
 from .fields import VectorField
 from .poly import MultiPoly, format_poly
-from .resultants import first_subresultant, multivariate_gcd, resultant
+from .resultants import (
+    first_subresultant,
+    multivariate_gcd,
+    resultant,
+    substitute_ratio,
+)
 from .roots import (
     IsolatingInterval,
     RatInterval,
@@ -36,12 +41,6 @@ def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
         raise ZeroDivisionError("interval denominator straddles zero")
     vals = [a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi]
     return RatInterval(min(vals), max(vals))
-
-
-def _as_iv(r: RootLocation) -> RatInterval:
-    if isinstance(r, IsolatingInterval):
-        return RatInterval(r.lo, r.hi)
-    return RatInterval.point(r)
 
 
 class CertifiedPoint:
@@ -97,19 +96,9 @@ class CertifiedPoint:
         other = "y" if base == "x" else "x"
         m = p.degree_in(other)
         m = 0 if not isinstance(m, int) else m
-        coeffs = p.coeffs_in(other) or [MultiPoly.zero(p.variables)]
-        num, den = d["num"], d["den"]
-        acc = MultiPoly.zero((base,))
-        neg_num_pow = MultiPoly.const(1, (base,))
-        den_pows = [MultiPoly.const(1, (base,))]
-        for _ in range(m):
-            den_pows.append(den_pows[-1] * den)
-        for k, c in enumerate(coeffs):
-            ck = c.with_variables((base,))
-            acc = acc + ck * neg_num_pow * den_pows[m - k]
-            neg_num_pow = neg_num_pow * (-num)
+        acc = substitute_ratio(p, other, d["num"], d["den"]).with_variables((base,))
         s_acc = sign_at_root(acc, d["defining"], d["root"], base)
-        s_den = sign_at_root(den, d["defining"], d["root"], base)
+        s_den = sign_at_root(d["den"], d["defining"], d["root"], base)
         return s_acc * (s_den ** m)
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> tuple:
@@ -265,34 +254,13 @@ def _eliminate_once(f: MultiPoly, g: MultiPoly, var: str):
         # verify both components vanish at (var = -s0/s1, other = r)
         ok = True
         for h in (f, g):
-            comp = _compose_num(h, var, other, s0, s1)
+            comp = substitute_ratio(h, var, s0, s1).with_variables((other,))
             if sign_at_root(comp, dy, r, other) != 0:
                 ok = False
                 break
         if ok:
-            points.append(_oriented_on_curve(other, r, dy, s0, s1))
+            points.append(CertifiedPoint.on_curve(other, r, dy, s0, s1))
     return points
-
-
-def _oriented_on_curve(base_var, root, defining, num, den) -> CertifiedPoint:
-    return CertifiedPoint.on_curve(base_var, root, defining, num, den)
-
-
-def _compose_num(h: MultiPoly, var: str, other: str,
-                 s0: MultiPoly, s1: MultiPoly) -> MultiPoly:
-    """Numerator of h(var -> -s0/s1) as a polynomial in `other`."""
-    m = h.degree_in(var)
-    m = 0 if not isinstance(m, int) else m
-    coeffs = [c.with_variables((other,)) for c in h.coeffs_in(var)]
-    acc = MultiPoly.zero((other,))
-    neg_pow = MultiPoly.const(1, (other,))
-    den_pows = [MultiPoly.const(1, (other,))]
-    for _ in range(m):
-        den_pows.append(den_pows[-1] * s1)
-    for k, c in enumerate(coeffs):
-        acc = acc + c * neg_pow * den_pows[m - k]
-        neg_pow = neg_pow * (-s0)
-    return acc
 
 
 def _pair_at_rational(fu: MultiPoly, gu: MultiPoly, var: str,

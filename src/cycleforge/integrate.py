@@ -7,7 +7,6 @@ sign-bracketed bisection on the dense output, never by extrapolation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,12 +49,11 @@ class Trajectory:
     status: str  # "ok" | "truncated"
     diagnostic: str = ""
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "y"])
-            for ti, (xi, yi) in zip(self.t, self.xy):
-                w.writerow([repr(float(ti)), repr(float(xi)), repr(float(yi))])
+    def csv_text(self) -> str:
+        """CSV text: a t,x,y header, floats in repr form, LF line ends."""
+        rows = [f"{float(ti)!r},{float(xi)!r},{float(yi)!r}\n"
+                for ti, (xi, yi) in zip(self.t, self.xy)]
+        return "t,x,y\n" + "".join(rows)
 
 
 def integrate(
@@ -238,15 +236,3 @@ def refine_cycle_bracket(
             rlo, dlo = mid, dm
     return (rlo, rhi)
 
-
-def return_table_to_csv(table: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["radius", "status", "time", "displacement"])
-        for row in table:
-            w.writerow([
-                repr(float(row["radius"])),
-                row["status"],
-                repr(float(row["time"])) if "time" in row else "",
-                repr(float(row["displacement"])) if "displacement" in row else "",
-            ])

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over scalars and polynomial entries.
 
-Determinants use fraction-free (Bareiss) elimination so polynomial entries
-never leave the ring.  ``solve_linear_exact`` handles the recurrence systems
-of the Lyapunov solver: a constant scalar matrix with a polynomial
-right-hand side.
+Determinants and ranks share one fraction-free (Bareiss) elimination, so
+polynomial entries never leave the ring.  ``solve_linear_exact`` handles the
+recurrence systems of the Lyapunov solver: a constant scalar matrix with a
+polynomial right-hand side.
 """
 
 from __future__ import annotations
@@ -13,15 +13,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .poly import MultiPoly
-from .scalars import QuadExt, is_zero
+from .scalars import QuadExt, inverse, is_zero
 
 Entry = Union[Fraction, QuadExt, MultiPoly]
-
-
-def _inv(x):
-    if isinstance(x, QuadExt):
-        return x.inverse()
-    return 1 / Fraction(x)
 
 
 def _entry_zero(x) -> bool:
@@ -36,7 +30,7 @@ def _exact_div(num, den):
         if isinstance(den, MultiPoly):
             q = num.exact_div(den)
         else:
-            q = num * _inv(den)
+            q = num * inverse(den)
         if q is None:
             raise ArithmeticError("inexact division in Bareiss elimination")
         return q
@@ -47,7 +41,7 @@ def _exact_div(num, den):
         if q is None:
             raise ArithmeticError("inexact division in Bareiss elimination")
         return q
-    return num * _inv(den)
+    return num * inverse(den)
 
 
 class ExactMatrix:
@@ -61,64 +55,72 @@ class ExactMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
-
-    def determinant(self) -> Entry:
-        return determinant(self)
 
     def __repr__(self):
         return f"ExactMatrix({self.entries!r})"
 
 
+def _echelon(A: ExactMatrix) -> tuple:
+    """Fraction-free (Bareiss) forward elimination on a copy of A.
+
+    Each column pivots on its first nonzero entry at or below the current
+    row and is skipped when it has none.  After r pivots every remaining
+    entry is an (r+1)-minor of A, so the division by the previous pivot (an
+    r-minor) is exact by Sylvester's identity and entries stay in the ring
+    of A's entries.  Returns (sign of the row permutation, last pivot,
+    pivot columns left to right).
+    """
+    m = [row[:] for row in A.entries]
+    sign, prev, pivots = 1, Fraction(1), []
+    for c in range(A.cols):
+        r = len(pivots)
+        if r == A.rows:
+            break
+        pr = next((i for i in range(r, A.rows) if not _entry_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        for i in range(r + 1, A.rows):
+            for j in range(c + 1, A.cols):
+                m[i][j] = _exact_div(m[i][j] * m[r][c] - m[i][c] * m[r][j], prev)
+        prev = m[r][c]
+        pivots.append(c)
+    return sign, prev, pivots
+
+
 def determinant(A: ExactMatrix) -> Entry:
     """Exact determinant via Bareiss fraction-free elimination.
 
-    Works for scalar entries and for polynomial entries (the intermediate
-    divisions are exact by the Bareiss identity).
+    Works for scalar entries and for polynomial entries.  A singular matrix
+    gives the zero of its entry ring (a MultiPoly zero when any entry is a
+    polynomial).
     """
     if not A.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
+    if A.rows == 0:
         return Fraction(1)
-    m = [row[:] for row in A.entries]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if _entry_zero(m[k][k]):
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not _entry_zero(m[i][k])), None
-            )
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev)
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
+    sign, det, pivots = _echelon(A)
+    if len(pivots) < A.rows:
+        return next((MultiPoly.zero(x.variables) for row in A.entries
+                     for x in row if isinstance(x, MultiPoly)), Fraction(0))
     return -det if sign < 0 else det
+
+
+def rank(A: ExactMatrix, pivots: Optional[list] = None) -> int:
+    """Rank over the fraction field of the entry ring; any shape.
+
+    When ``pivots`` is a list, the pivot columns are appended to it left to
+    right: column c is a pivot exactly when it is not in the span of the
+    columns before it.
+    """
+    found = _echelon(A)[2]
+    if pivots is not None:
+        pivots.extend(found)
+    return len(found)
 
 
 @dataclass
@@ -170,7 +172,7 @@ def solve_linear_exact(
         rows[r], rows[pr] = rows[pr], rows[r]
         rhs[r], rhs[pr] = rhs[pr], rhs[r]
         row_origin[r], row_origin[pr] = row_origin[pr], row_origin[r]
-        inv = _inv(rows[r][col])
+        inv = inverse(rows[r][col])
         rows[r] = [x * inv for x in rows[r]]
         rhs[r] = rhs[r] * inv
         for i in range(n):

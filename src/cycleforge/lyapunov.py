@@ -16,11 +16,7 @@ from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, solve_linear_exact
 from .poly import MultiPoly, format_poly
-from .scalars import QuadExt, is_zero, scalar_sign, squarefree_decompose
-
-
-def _scalar_coeff(p: MultiPoly, exp: tuple):
-    return p.terms.get(exp, Fraction(0))
+from .scalars import QuadExt, inverse, is_zero, scalar_sign, squarefree_decompose
 
 
 def _linear_data(p: MultiPoly, xi: int, yi: int):
@@ -124,7 +120,7 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
     gh = qt - (xv * c + yv * (-a))
     fs = fh.substitute(back)
     gs = gh.substitute(back)
-    inv_w = omega.inverse() if isinstance(omega, QuadExt) else 1 / omega
+    inv_w = inverse(omega)
     pn = -yv + gs * inv_w
     qn = xv - (fs * c - gs * a) * (inv_w * inv_w)
     d = omega.d if isinstance(omega, QuadExt) else 1
@@ -143,12 +139,6 @@ class LyapunovReport:
     quantities: list  # L_1 .. L_N as MultiPoly in the parameters
     pinned: str  # which series coefficient is set to zero at even degrees
     parameters: tuple
-
-    def first_nonzero(self) -> Optional[int]:
-        for i, L in enumerate(self.quantities, start=1):
-            if not L.is_zero():
-                return i
-        return None
 
     def to_json(self) -> dict:
         return {

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-from .scalars import QuadExt, ScalarLike, format_scalar, is_zero
+from .scalars import QuadExt, ScalarLike, format_scalar, inverse, is_zero
 
 
 class _MinusInf:
@@ -227,10 +227,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction, QuadExt)):
             if is_zero(other):
                 raise ZeroDivisionError
-            if isinstance(other, int):
-                other = Fraction(other)
-            inv = 1 / other if not isinstance(other, QuadExt) else other.inverse()
-            return self * inv
+            return self * inverse(other)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -363,7 +360,7 @@ class MultiPoly:
         qexp, qc = q.leading()
         quotient = {}
         rem = dict(p.terms)
-        qc_inv = qc.inverse() if isinstance(qc, QuadExt) else 1 / Fraction(qc)
+        qc_inv = inverse(qc)
         while rem:
             exp = max(rem, key=_grlex_key)
             diff = tuple(a - b for a, b in zip(exp, qexp))
@@ -558,9 +555,7 @@ class _Parser:
             if neg:
                 if not p.is_constant():
                     raise PolyParseError("negative power of a non-constant", p2)
-                c = p.constant_value()
-                inv = c.inverse() if isinstance(c, QuadExt) else 1 / Fraction(c)
-                return MultiPoly.const(inv) ** int(v2)
+                return MultiPoly.const(inverse(p.constant_value())) ** int(v2)
             return p ** int(v2)
         return p
 
@@ -577,13 +572,3 @@ def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> MultiPol
     target = tuple(variables) if variables is not None else tuple(parser.seen)
     return p.with_variables(target)
 
-
-def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
-    """Named dispatch kept for the module surface: add, sub or mul."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from .linalg import ExactMatrix, determinant
 from .poly import MINUS_INF, MultiPoly, format_poly
-from .scalars import QuadExt, is_zero
+from .scalars import QuadExt, inverse, is_zero
 
 
 # -- normalization -------------------------------------------------------------
@@ -29,7 +29,7 @@ def normalize_unit(p: MultiPoly) -> MultiPoly:
     coeffs = list(p.terms.values())
     if any(isinstance(c, QuadExt) and c.b != 0 for c in coeffs):
         _, lead = p.leading()
-        return p * (lead.inverse() if isinstance(lead, QuadExt) else 1 / Fraction(lead))
+        return p * inverse(lead)
     import math
 
     fracs = [c.a if isinstance(c, QuadExt) else Fraction(c) for c in coeffs]
@@ -91,6 +91,26 @@ def _drop_var(p: MultiPoly, var: str) -> MultiPoly:
     return p.with_variables(keep)
 
 
+def substitute_ratio(h: MultiPoly, var: str, num: MultiPoly,
+                     den: MultiPoly) -> MultiPoly:
+    """den^m * h(var -> -num/den) with m = deg_var h.
+
+    num and den must not involve var; the result is then a polynomial in
+    the other variables of h, num and den (var drops out).
+    """
+    coeffs = h.coeffs_in(var)
+    m = max(len(coeffs) - 1, 0)
+    acc = MultiPoly.zero(h.variables)
+    neg_num_pow = MultiPoly.const(1, h.variables)
+    den_pows = [MultiPoly.const(1, h.variables)]
+    for _ in range(m):
+        den_pows.append(den_pows[-1] * den)
+    for k, c in enumerate(coeffs):
+        acc = acc + c * neg_num_pow * den_pows[m - k]
+        neg_num_pow = neg_num_pow * (-num)
+    return acc
+
+
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Res(f, g, var): a polynomial in the remaining variables."""
     if f.is_zero() or g.is_zero():
@@ -107,28 +127,12 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if m == 0:
         return _drop_var(g.coeff_of(var, 0) ** l, var)
     if l == 1 or m == 1:
-        # Res(c0 x + c1, g) = sum_k g_k (-c1)^k c0^(m-k); swap costs (-1)^(l m)
-        if l == 1:
-            lin, other, d_other = f, g, m
-            sign = 1
-        else:
-            lin, other, d_other = g, f, l
-            sign = -1 if (l * m) % 2 else 1
-        c0, c1 = lin.coeff_of(var, 1), lin.coeff_of(var, 0)
-        oc = other.coeffs_in(var)
-        acc = MultiPoly.zero(f.variables)
-        neg_c1_pow = MultiPoly.const(1, f.variables)
-        c0_pows = [MultiPoly.const(1, f.variables)]
-        for _ in range(d_other):
-            c0_pows.append(c0_pows[-1] * c0)
-        for k in range(d_other + 1):
-            acc = acc + oc[k] * neg_c1_pow * c0_pows[d_other - k]
-            neg_c1_pow = neg_c1_pow * (-c1)
+        # Res(c0 x + c1, g) = c0^m g(-c1/c0); swapping the order costs (-1)^(l m)
+        lin, other = (f, g) if l == 1 else (g, f)
+        sign = -1 if l != 1 and (l * m) % 2 else 1
+        acc = substitute_ratio(other, var, lin.coeff_of(var, 0), lin.coeff_of(var, 1))
         return _drop_var(acc, var) * sign
-    det = determinant(sylvester(f, g, var))
-    if not isinstance(det, MultiPoly):
-        det = MultiPoly.const(det, f.variables)
-    return _drop_var(det.with_variables(f.variables), var)
+    return _drop_var(determinant(sylvester(f, g, var)), var)
 
 
 def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
@@ -165,10 +169,7 @@ def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
 
     def minor(extra: int):
         cols = prefix + [extra]
-        d = determinant(ExactMatrix([[r[c] for c in cols] for r in rows]))
-        if not isinstance(d, MultiPoly):
-            d = MultiPoly.const(d, f.variables)
-        return _drop_var(d, var)
+        return _drop_var(determinant(ExactMatrix([[r[c] for c in cols] for r in rows])), var)
 
     return minor(m + n - 3), minor(m + n - 2)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .poly import MINUS_INF, MultiPoly
-from .scalars import QuadExt, scalar_sign, is_zero
+from .poly import MultiPoly
+from .scalars import QuadExt, inverse, scalar_sign, is_zero
 
 
 # -- univariate coefficient-list helpers --------------------------------------
@@ -54,29 +54,13 @@ def derivative(coeffs: list) -> list:
     return [c * k for k, c in enumerate(coeffs)][1:]
 
 
-def _rem(a: list, b: list) -> list:
-    """Remainder of a by b over the coefficient field."""
-    a = a[:]
-    lb = b[-1]
-    inv = lb.inverse() if isinstance(lb, QuadExt) else 1 / Fraction(lb)
-    while len(a) >= len(b) and a:
-        q = a[-1] * inv
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - q * c
-        a.pop()
-        strip(a)
-    return a
-
-
 def gcd_univariate(a: list, b: list) -> list:
     """Monic gcd over the coefficient field (Euclid)."""
     a, b = strip(a[:]), strip(b[:])
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _divmod(a, b)[1]
     if a:
-        la = a[-1]
-        inv = la.inverse() if isinstance(la, QuadExt) else 1 / Fraction(la)
+        inv = inverse(a[-1])
         a = [c * inv for c in a]
     return a
 
@@ -94,9 +78,9 @@ def squarefree_part(coeffs: list) -> list:
 
 
 def _divmod(a: list, b: list):
+    """(quotient, remainder) of a by b over the coefficient field."""
     a = a[:]
-    lb = b[-1]
-    inv = lb.inverse() if isinstance(lb, QuadExt) else 1 / Fraction(lb)
+    inv = inverse(b[-1])
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and a:
         c = a[-1] * inv
@@ -115,7 +99,7 @@ def _divmod(a: list, b: list):
 def sturm_chain(coeffs: list) -> list:
     chain = [coeffs, strip(derivative(coeffs))]
     while chain[-1]:
-        r = _rem(chain[-2], chain[-1])
+        r = _divmod(chain[-2], chain[-1])[1]
         chain.append([-c for c in r])
     chain.pop()
     return chain
@@ -190,10 +174,6 @@ class IsolatingInterval:
 
 
 RootLocation = Union[Fraction, IsolatingInterval]
-
-
-def root_point(r: RootLocation) -> float:
-    return float(r.midpoint()) if isinstance(r, IsolatingInterval) else float(r)
 
 
 # -- rational roots ----------------------------------------------------------------
@@ -372,11 +352,11 @@ def isolate_real_roots(p: MultiPoly, var: Optional[str] = None) -> List[Isolatin
         if isinstance(r, IsolatingInterval):
             out.append(r)
         else:
-            out.append(_rational_to_interval(sf, r, real_roots(coeffs)))
+            out.append(_rational_to_interval(sf, r))
     return sorted(out, key=lambda iv: iv.lo)
 
 
-def _rational_to_interval(sf: list, r: Fraction, all_roots) -> IsolatingInterval:
+def _rational_to_interval(sf: list, r: Fraction) -> IsolatingInterval:
     chain = sturm_chain(sf)
     gap = Fraction(1)
     while True:

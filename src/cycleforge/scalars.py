@@ -236,6 +236,13 @@ def is_zero(x: ScalarLike) -> bool:
     return x == 0
 
 
+def inverse(x: ScalarLike) -> Union[Fraction, QuadExt]:
+    """Exact multiplicative inverse of a rational or Q(sqrt(d)) scalar."""
+    if isinstance(x, QuadExt):
+        return x.inverse()
+    return 1 / Fraction(x)
+
+
 def as_fraction(x: ScalarLike) -> Fraction:
     """Convert a rational-valued scalar to Fraction; raises if irrational."""
     if isinstance(x, QuadExt):

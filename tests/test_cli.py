@@ -5,7 +5,11 @@ import os
 
 import pytest
 
-from cycleforge.cli import main, worker_count
+from cycleforge import fields
+from cycleforge.cli import main
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
+                         "perfbench", "reference", "focus")
 
 
 def run(capsys, *argv):
@@ -51,6 +55,19 @@ def test_bad_binding_is_input_error(capsys):
     code, out, err = run(capsys, "singular", "--family", "P4",
                          "--bind", "a11=two")
     assert code == 2 and "bad rational value" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["singular", "--family", "P9", "--bind", "mu=0"], "alpha"),
+    (["singular", "--family", "P9", "--bind", "mu=0,alpha=0,lam=0,zzz=3"], "zzz"),
+    (["eliminate", "--family", "P4", "--order", "zz"], "zz"),
+    (["lyap", "--family", "P4", "--N", "0"], "--N"),
+    (["lyap", "--family", "P4", "--N", "-1"], "--N"),
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_center_certify_strict_negative(capsys):
@@ -134,6 +151,16 @@ def test_simulate_csv(tmp_path, capsys):
     assert lines[0] == "t,x,y" and len(lines) == 11
 
 
+def test_simulate_out_bytes_equal_stdout(tmp_path, capsys):
+    argv = ["simulate", "--family", "P9", "--bind", "mu=0,alpha=1/100,lam=0",
+            "--start", "0.3,0", "--tmax", "1.0", "--samples", "5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    dst = tmp_path / "traj.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(dst))
+    assert code == 0 and dst.read_bytes() == out.encode()
+
+
 def test_simulate_rejects_bad_tolerance(capsys):
     code, out, err = run(capsys, "simulate", "--family", "P4",
                          "--start", "0.1,0", "--tmax", "1.0",
@@ -166,12 +193,26 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CYCLEFORGE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CYCLEFORGE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("CYCLEFORGE_THREADS", "zero")
-    assert worker_count() == 1
-    monkeypatch.setenv("CYCLEFORGE_THREADS", "-3")
-    assert worker_count() == 1
+def _light_canned():
+    """(label, argv) of the quick canned commands with reference reports."""
+    cmds = [(f"bifurcate-{p}", ["bifurcate", "--prop", p])
+            for p in ("P7", "P8", "P9b", "T1c", "P9c")]
+    strata = [("P4", c) for c in sorted(fields.P4_CONDITIONS)]
+    strata += [("P5", c) for c in sorted(fields.P5_CONDITIONS)]
+    for fam, cond in strata:
+        argv = ["center-certify", "--family", fam, "--condition", cond]
+        if cond == "C7":
+            argv += ["--curve", "a11*x + a02*y + 1"]
+        cmds.append((f"center-certify-{fam}-{cond}", argv))
+    cmds.append(("singular-P9-zero",
+                 ["singular", "--family", "P9", "--bind", "mu=0,alpha=0,lam=0"]))
+    return cmds
+
+
+@pytest.mark.parametrize("label, argv", _light_canned(),
+                         ids=[label for label, _ in _light_canned()])
+def test_canned_report_is_byte_identical(tmp_path, label, argv):
+    dst = tmp_path / "report.json"
+    assert main(argv + ["--out", str(dst)]) == 0
+    with open(os.path.join(REFERENCE, label + ".json"), "rb") as fh:
+        assert dst.read_bytes() == fh.read()

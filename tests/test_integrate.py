@@ -61,14 +61,15 @@ def test_return_map_guard_annulus():
     assert rows[0]["status"] in ("left_annulus", "no_return")
 
 
-def test_trajectory_csv_round_trip(tmp_path):
+def test_trajectory_csv_round_trip():
     fld = _center_field()
     traj = integrate.integrate(fld, None, (0.1, 0.0), tmax=1.0, samples=20)
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out)
-    lines = out.read_text().strip().splitlines()
+    text = traj.csv_text()
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.splitlines()
     assert lines[0] == "t,x,y"
     assert len(lines) == 21
+    assert [float(v) for v in lines[1].split(",")] == [0.0, 0.1, 0.0]
 
 
 def test_return_map_rejects_degenerate_focus():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleforge.linalg import ExactMatrix, determinant, solve_linear_exact
+from cycleforge.linalg import ExactMatrix, determinant, rank, solve_linear_exact
 from cycleforge.poly import MultiPoly, parse_poly
 
 
@@ -48,6 +48,72 @@ def test_polynomial_entries_stay_exact():
     one = MultiPoly.const(Fraction(1), ("t",))
     A = ExactMatrix([[t, one], [one, t]])
     assert determinant(A) == parse_poly("t^2 - 1", ("t",))
+
+
+def test_singular_polynomial_determinant_is_ring_zero():
+    t = parse_poly("t", ("t",))
+    zero = MultiPoly.zero(("t",))
+    one = MultiPoly.const(Fraction(1), ("t",))
+    for rows in ([[zero, t], [zero, one]],
+                 [[t, one, t], [t * t, t, t], [t, one, one]]):
+        d = determinant(ExactMatrix(rows))
+        assert isinstance(d, MultiPoly) and d.is_zero() and d.variables == ("t",)
+
+
+def _random_rank_deficient(rng, entry):
+    """Random rows with a zero column and one row a combination of others."""
+    nrows, ncols = rng.randint(2, 4), rng.randint(2, 5)
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows - 1)]
+    a, b = entry(), entry()
+    rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    z = rng.randrange(ncols)
+    for row in rows:
+        row[z] = row[z] * 0
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_and_pivots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(40):
+        rows = _random_rank_deficient(
+            rng, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        pivots: list = []
+        r = rank(ExactMatrix(rows), pivots)
+        _, sym_pivots = sympy.Matrix(rows).rref()
+        assert r == sympy.Matrix(rows).rank() == len(sym_pivots)
+        assert pivots == list(sym_pivots)
+
+
+def test_polynomial_rank_matches_specializations():
+    rng = random.Random(23)
+    vs = ("s", "t")
+    monomials = [parse_poly(m, vs) for m in ("1", "s", "t", "s*t", "t^2")]
+
+    def entry():
+        return sum((m * Fraction(rng.randint(-2, 2)) for m in monomials),
+                   MultiPoly.zero(vs))
+
+    for _ in range(15):
+        rows = _random_rank_deficient(rng, entry)
+        pivots: list = []
+        r = rank(ExactMatrix(rows), pivots)
+        for _ in range(3):
+            at = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for v in vs}
+            spec = [[e.eval_scalar(at) for e in row] for row in rows]
+            spec_pivots: list = []
+            assert rank(ExactMatrix(spec), spec_pivots) == r
+            assert spec_pivots == pivots
+
+
+def test_rank_skips_zero_column():
+    A = ExactMatrix([[Fraction(0), Fraction(1), Fraction(2)],
+                     [Fraction(0), Fraction(2), Fraction(4)],
+                     [Fraction(0), Fraction(0), Fraction(1)]])
+    pivots: list = []
+    assert rank(A, pivots) == 2 and pivots == [1, 2]
+    assert determinant(A) == 0
 
 
 def test_solve_unique_by_substitution():

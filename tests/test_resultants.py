@@ -15,9 +15,37 @@ from cycleforge.resultants import (
     normalize_unit,
     resultant,
     specialize_check,
+    substitute_ratio,
     sylvester,
     unit_multiple_of,
 )
+
+
+def test_substitute_ratio_matches_direct_evaluation():
+    rng = random.Random(31)
+    vs = ("x", "y", "a")
+
+    def rand_poly(names, degree):
+        terms = {}
+        for _ in range(4):
+            exp = tuple(rng.randint(0, degree) if v in names else 0 for v in vs)
+            terms[exp] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return MultiPoly(vs, terms)
+
+    for _ in range(25):
+        h = rand_poly(("x", "y", "a"), 3)
+        num, den = rand_poly(("y", "a"), 2), rand_poly(("y", "a"), 2)
+        out = substitute_ratio(h, "x", num, den)
+        assert "x" not in out.used_variables()
+        m = max(len(h.coeffs_in("x")) - 1, 0)
+        for _ in range(3):
+            at = {"y": Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                  "a": Fraction(rng.randint(-9, 9), rng.randint(1, 5))}
+            d = den.eval_scalar(at)
+            if d == 0:
+                continue
+            x = -num.eval_scalar(at) / d
+            assert out.eval_scalar(at) == d ** m * h.eval_scalar({"x": x, **at})
 
 
 def test_resultant_detects_shared_root():

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .fields import VectorField
 from .linalg import ExactMatrix, solve_linear_exact
 from .poly import MultiPoly, format_poly
-from .scalars import is_zero
 
 REVERSIBILITY_LINES = ("x=0", "y=0", "y=x", "y=-x")
 
@@ -109,14 +109,15 @@ def darboux_search(
         return None
     div = divergence(field)
     # coefficient-wise linear system over all monomials appearing anywhere
-    mono = set(div.terms)
-    for K in cofs:
-        mono.update(K.terms)
-    mono = sorted(mono)
+    vs = field.variables
+    zero = MultiPoly.zero(vs)
+    div_c = div.collect(vs)
+    cof_c = [K.collect(vs) for K in cofs]
+    mono = sorted(set(div_c).union(*cof_c))
     A = ExactMatrix(
-        [[K.terms.get(m, Fraction(0)) for K in cofs] for m in mono]
+        [[Kc.get(m, zero).constant_value() for Kc in cof_c] for m in mono]
     )
-    b = [-div.terms.get(m, Fraction(0)) for m in mono]
+    b = [-div_c.get(m, zero).constant_value() for m in mono]
     sol = solve_linear_exact(A, b)
     if sol.kind == "inconsistent":
         return None
@@ -141,37 +142,18 @@ def _separates(p: MultiPoly) -> bool:
     parameters, p separates for every parameter value iff the coefficient
     matrix (c_ij) has rank one, i.e. every 2x2 minor vanishes identically.
     """
-    if p.is_zero():
-        return True
-    xi = p.variables.index("x")
-    yi = p.variables.index("y")
-    entries: dict = {}
-    for e, c in p.terms.items():
-        rest = list(e)
-        rest[xi] = 0
-        rest[yi] = 0
-        cell = entries.setdefault((e[xi], e[yi]), {})
-        cell[tuple(rest)] = c
-    rows = sorted({i for i, _ in entries})
-    cols = sorted({j for _, j in entries})
+    cells = p.collect(("x", "y"))
+    rows = sorted({i for i, _ in cells})
+    cols = sorted({j for _, j in cells})
     zero = MultiPoly.zero(p.variables)
-    table = [
-        [
-            MultiPoly(p.variables, entries.get((i, j), {}))
-            for j in cols
-        ]
-        for i in rows
-    ]
-    for r1 in range(len(rows)):
-        for r2 in range(r1 + 1, len(rows)):
-            for c1 in range(len(cols)):
-                for c2 in range(c1 + 1, len(cols)):
-                    minor = (
-                        table[r1][c1] * table[r2][c2]
-                        - table[r1][c2] * table[r2][c1]
-                    )
-                    if not minor.is_zero():
-                        return False
+    for r1, r2 in combinations(rows, 2):
+        for c1, c2 in combinations(cols, 2):
+            minor = (
+                cells.get((r1, c1), zero) * cells.get((r2, c2), zero)
+                - cells.get((r1, c2), zero) * cells.get((r2, c1), zero)
+            )
+            if not minor.is_zero():
+                return False
     return True
 
 

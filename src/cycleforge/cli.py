@@ -3,13 +3,14 @@
 Reports are JSON, trajectories are CSV; every file is written atomically
 (temp file in the target directory, then rename).  Exit status: 0 on
 success, 1 when --strict is set and the analysis reaches a negative
-verdict, 2 on input errors.
+verdict, 2 on input errors, 3 on an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -55,6 +56,19 @@ class InputError(Exception):
     pass
 
 
+def _read_json_object(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise InputError(str(e))
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _load_family(args) -> fields.VectorField:
     if getattr(args, "family", None):
         if args.family not in FAMILIES:
@@ -64,19 +78,13 @@ def _load_family(args) -> fields.VectorField:
             )
         return FAMILIES[args.family]()
     if getattr(args, "file", None):
-        try:
-            with open(args.file) as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise InputError(str(e))
-        except json.JSONDecodeError as e:
-            raise InputError(f"{args.file}: line {e.lineno} column {e.colno}: {e.msg}")
+        data = _read_json_object(args.file)
         try:
             vs = tuple(data.get("variables") or ("x", "y"))
             return fields.VectorField(
                 parse_poly(data["f"], vs), parse_poly(data["g"], vs)
             )
-        except (KeyError, PolyParseError, ValueError) as e:
+        except (KeyError, TypeError, PolyParseError, ValueError) as e:
             raise InputError(f"{args.file}: {e}")
     raise InputError("need --family or --file")
 
@@ -128,11 +136,17 @@ def _cmd_center_certify(args) -> int:
             try:
                 cond = json.loads(args.condition)
             except json.JSONDecodeError:
+                cond = None
+            if not isinstance(cond, dict):
                 raise InputError(
                     f"condition {args.condition!r} is neither a known label "
                     "nor a JSON substitution map"
                 )
-            fam_c = fields.apply_condition(fam, cond)
+            _check_parameters("--condition", cond, fam)
+            try:
+                fam_c = fields.apply_condition(fam, cond)
+            except (TypeError, OverflowError) as e:
+                raise InputError(f"bad --condition value: {e}")
     else:
         fam_c = fam
     extra = []
@@ -158,13 +172,7 @@ def _cmd_eliminate(args) -> int:
 
 
 def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise InputError(str(e))
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
+    data = _read_json_object(path)
     try:
         base_data = data["base"]
         vs = tuple(base_data.get("variables") or ("x", "y"))
@@ -236,14 +244,21 @@ def _cmd_berlinskii(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    fam = _load_family(args)
-    binding = _parse_binding(args.bind, fam)
+    for flag in ("tmax", "rtol", "atol"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"--{flag} must be finite and positive, got {value}")
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     try:
         x0 = tuple(float(t) for t in args.start.split(","))
-        if len(x0) != 2:
-            raise ValueError
     except ValueError:
-        raise InputError(f"bad start point {args.start!r}; expected x,y")
+        x0 = ()
+    if len(x0) != 2 or not all(abs(t) <= 0.5 for t in x0):
+        raise InputError(f"bad --start {args.start!r}; expected x,y with "
+                         "|x|, |y| <= 1/2")
+    fam = _load_family(args)
+    binding = _parse_binding(args.bind, fam)
     traj = integrate.integrate(
         fam, binding, x0, args.tmax, rtol=args.rtol, atol=args.atol,
         samples=args.samples,
@@ -256,16 +271,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_game_build(args) -> int:
-    try:
-        with open(args.file) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise InputError(str(e))
-    except json.JSONDecodeError as e:
-        raise InputError(f"{args.file}: line {e.lineno} column {e.colno}: {e.msg}")
+    data = _read_json_object(args.file)
     try:
         model = fields.GameModel.from_json(data)
-    except (KeyError, PolyParseError, ValueError) as e:
+    except (KeyError, TypeError, PolyParseError, ValueError) as e:
         raise InputError(f"{args.file}: {e}")
     fld = fields.build_from_game(model)
     _emit_json(fld.to_json(), args.out)
@@ -358,15 +367,16 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors already
         return int(e.code or 0)
     try:
-        for tol in ("rtol", "atol"):
-            if getattr(args, tol, 1.0) <= 0:
-                raise InputError(f"--{tol} must be positive")
         if getattr(args, "N", None) is not None and args.N < 1:
             raise InputError(f"--N must be at least 1, got {args.N}")
         return args.func(args)
     except (InputError, PolyParseError, ValueError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        message = " ".join(str(e).split())
+        sys.stderr.write(f"internal error: {type(e).__name__}: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -522,14 +522,11 @@ def contact_points(field: VectorField, line: Sequence,
         raise ValueError("not a line")
     fb = field.bind(dict(binding or {}))
     vs = fb.f.variables
-    F = MultiPoly(vs, {tuple(1 if v == "x" else 0 for v in vs): a}) \
-        + MultiPoly(vs, {tuple(1 if v == "y" else 0 for v in vs): b}) \
-        + MultiPoly.const(c, vs)
-    if cofactor(fb, F) is not None:
-        raise ValueError("line is invariant: infinitely many contact points")
-    H = fb.P * a + fb.Q * b
     xv = MultiPoly.var("x", vs)
     yv = MultiPoly.var("y", vs)
+    if cofactor(fb, xv * a + yv * b + c) is not None:
+        raise ValueError("line is invariant: infinitely many contact points")
+    H = fb.P * a + fb.Q * b
     if b != 0:
         # parametrize by x: y = -(a*x + c)/b
         sub = {"y": xv * (-a / b) + Fraction(-c, 1) / b}

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .poly import MINUS_INF, MultiPoly, format_poly, parse_poly
+from .poly import MultiPoly, format_poly, parse_poly
+
+
+XY = ("x", "y")
 
 
 def _xy_degree(p: MultiPoly) -> int:
-    xi = p.variables.index("x")
-    yi = p.variables.index("y")
-    if p.is_zero():
-        return 0
-    return max(e[xi] + e[yi] for e in p.terms)
+    return max(p.graded(XY), default=0)
 
 
 @dataclass
@@ -44,10 +43,8 @@ class VectorField:
         self.P = sq_x * f
         self.Q = sq_y * g
         self.d = max(_xy_degree(f), _xy_degree(g))
-        xi = variables.index("x")
-        yi = variables.index("y")
-        ad0 = any(e[xi] == self.d and e[yi] == 0 for e in f.terms)
-        b0d = any(e[yi] == self.d and e[xi] == 0 for e in g.terms)
+        ad0 = (self.d, 0) in f.collect(XY)
+        b0d = (0, self.d) in g.collect(XY)
         self.klass = "X_d" if (ad0 or b0d) else "X_d0"
 
     @property
@@ -68,11 +65,7 @@ class VectorField:
     def is_even_symmetric(self) -> bool:
         """True when (x,y,t) -> (-x,-y,-t) preserves the field, i.e. P and
         Q are even under (x,y) -> (-x,-y)."""
-        xi = self.variables.index("x")
-        yi = self.variables.index("y")
-        return all(
-            (e[xi] + e[yi]) % 2 == 0 for p in (self.P, self.Q) for e in p.terms
-        )
+        return all(d % 2 == 0 for p in (self.P, self.Q) for d in p.graded(XY))
 
     def to_json(self) -> dict:
         return {

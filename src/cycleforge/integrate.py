@@ -21,9 +21,8 @@ from .poly import MultiPoly
 
 def _compile(p: MultiPoly):
     """Fast float evaluator for a polynomial in (x, y)."""
-    xi = p.variables.index("x")
-    yi = p.variables.index("y")
-    terms = [(float(c), e[xi], e[yi]) for e, c in p.terms.items()]
+    terms = [(float(c.constant_value()), ex, ey)
+             for (ex, ey), c in p.collect(("x", "y")).items()]
 
     def ev(x: float, y: float) -> float:
         return sum(c * x**ex * y**ey for c, ex, ey in terms)

@@ -10,7 +10,7 @@ center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,30 +19,21 @@ from .poly import MultiPoly, format_poly
 from .scalars import QuadExt, inverse, is_zero, scalar_sign, squarefree_decompose
 
 
-def _linear_data(p: MultiPoly, xi: int, yi: int):
+XY = ("x", "y")
+
+
+def _linear_data(p: MultiPoly):
     """Constant term and the two linear coefficients of p in (x, y).
 
     Raises if any of them involves other symbols: the linear part must be
     numeric for the normalization to make sense.
     """
-    n = len(p.variables)
-    const = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for exp, c in p.terms.items():
-        dx, dy = exp[xi], exp[yi]
-        rest = sum(exp) - dx - dy
-        if dx + dy > 1:
-            continue
-        if rest:
-            raise ValueError("linear part depends on symbolic parameters")
-        if dx == 0 and dy == 0:
-            const = c
-        elif dx == 1:
-            cx = c
-        else:
-            cy = c
-    return const, cx, cy
+    parts = p.collect(XY)
+    zero = MultiPoly.zero(p.variables)
+    low = [parts.get(m, zero) for m in ((0, 0), (1, 0), (0, 1))]
+    if not all(c.is_constant() for c in low):
+        raise ValueError("linear part depends on symbolic parameters")
+    return tuple(c.constant_value() for c in low)
 
 
 def sqrt_scalar(q: Fraction):
@@ -91,16 +82,14 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
     variables = p.variables
     if "x" not in variables or "y" not in variables:
         raise ValueError("field must use variables x and y")
-    xi = variables.index("x")
-    yi = variables.index("y")
     x0, y0 = point
     xv = MultiPoly.var("x", variables)
     yv = MultiPoly.var("y", variables)
     shift = {"x": xv + x0, "y": yv + y0}
     pt = p.substitute(shift)
     qt = q.substitute(shift)
-    p0, a, b = _linear_data(pt, xi, yi)
-    q0, c, mg = _linear_data(qt, xi, yi)
+    p0, a, b = _linear_data(pt)
+    q0, c, mg = _linear_data(qt)
     if not is_zero(p0) or not is_zero(q0):
         raise ValueError("point is not a singularity")
     if a + mg != 0:
@@ -148,13 +137,6 @@ class LyapunovReport:
         }
 
 
-def _jet_truncate(p: MultiPoly, jet_vars: tuple, order: int, idx: tuple) -> MultiPoly:
-    terms = {
-        e: c for e, c in p.terms.items() if sum(e[i] for i in idx) <= order
-    }
-    return MultiPoly(p.variables, terms)
-
-
 def lyapunov_quantities(
     p: MultiPoly,
     q: MultiPoly,
@@ -182,43 +164,26 @@ def lyapunov_quantities(
         raise ValueError("pin must be 'c0k' or 'ck0'")
     p, q = MultiPoly._align(p, q)
     variables = p.variables
-    xi = variables.index("x")
-    yi = variables.index("y")
-    params = tuple(v for v in variables if v not in ("x", "y"))
+    params = tuple(v for v in variables if v not in XY)
     xv = MultiPoly.var("x", variables)
     yv = MultiPoly.var("y", variables)
     F = p + yv
     G = q - xv
-    for h in (F, G):
-        for exp, c in h.terms.items():
-            if exp[xi] + exp[yi] <= 1:
-                raise ValueError("linear part is not exactly (-y, x)")
-    jet_idx: tuple = ()
-    jet_order = 0
+    if any(d <= 1 for h in (F, G) for d in h.graded(XY)):
+        raise ValueError("linear part is not exactly (-y, x)")
     if jet is not None:
         jet_syms, jet_order = jet
-        jet_idx = tuple(variables.index(s) for s in jet_syms)
 
         def trunc(r: MultiPoly) -> MultiPoly:
-            return _jet_truncate(r, jet_syms, jet_order, jet_idx)
+            return r.truncated(jet_syms, jet_order)
 
     else:
 
         def trunc(r: MultiPoly) -> MultiPoly:
             return r
 
-    F = trunc(F)
-    G = trunc(G)
-
-    def xy_parts(r: MultiPoly) -> dict:
-        out: dict = {}
-        for exp, c in r.terms.items():
-            d = exp[xi] + exp[yi]
-            out.setdefault(d, {})[exp] = c
-        return {d: MultiPoly(variables, t) for d, t in out.items()}
-
-    Fp = xy_parts(F)
-    Gp = xy_parts(G)
+    Fp = trunc(F).graded(XY)
+    Gp = trunc(G).graded(XY)
     max_degree = 2 * count + 2
     # pending[k] = degree-k part (in x, y) of F*H_x + G*H_y accumulated so far
     pending: dict = {}
@@ -253,17 +218,8 @@ def lyapunov_quantities(
                 A[row_of[(i + 1, j - 1)]][col] += j
         if k % 2 == 0:
             A[row_of[(k, 0)]][len(mons)] = Fraction(-1)
-        src = pending.get(k, param_zero)
-        b = []
-        for (i, j) in mons:
-            terms = {}
-            for exp, c in src.terms.items():
-                if exp[xi] == i and exp[yi] == j:
-                    e = list(exp)
-                    e[xi] = 0
-                    e[yi] = 0
-                    terms[tuple(e)] = c
-            b.append(-MultiPoly(variables, terms))
+        parts = pending.get(k, param_zero).collect(XY)
+        b = [-parts.get(mon, param_zero) for mon in mons]
         order = list(range(ncols))
         if k % 2 == 0:
             pin_col = row_of[(0, k)] if pin == "c0k" else row_of[(k, 0)]
@@ -272,21 +228,9 @@ def lyapunov_quantities(
         sol = solve_linear_exact(ExactMatrix(A), b, column_order=order)
         if sol.kind == "inconsistent":
             raise ArithmeticError(f"series solve failed at degree {k}")
-        hk_terms: dict = {}
-        for col, (i, j) in enumerate(mons):
-            c = sol.solution[col]
-            cpoly = c if isinstance(c, MultiPoly) else MultiPoly.const(c, variables)
-            for exp, cc in cpoly.terms.items():
-                e = list(exp)
-                e[xi] += i
-                e[yi] += j
-                key = tuple(e)
-                cur = hk_terms.get(key, Fraction(0)) + cc
-                if is_zero(cur):
-                    hk_terms.pop(key, None)
-                else:
-                    hk_terms[key] = cur
-        hk = MultiPoly(variables, hk_terms)
+        hk = MultiPoly.from_collected(
+            XY, {mon: sol.solution[col] for col, mon in enumerate(mons)}, variables
+        )
         if k % 2 == 0:
             Lk = sol.solution[len(mons)]
             if not isinstance(Lk, MultiPoly):
@@ -312,27 +256,17 @@ def linear_parts_in(report: LyapunovReport, symbols: Sequence[str]) -> list:
     symbols = tuple(symbols)
     rows = []
     for n, L in enumerate(report.quantities, start=1):
-        variables = L.variables
-        sym_idx = {
-            variables.index(s): pos
-            for pos, s in enumerate(symbols)
-            if s in variables
-        }
-        rest_pos = [i for i, v in enumerate(variables) if v not in symbols]
-        rest_vars = tuple(variables[i] for i in rest_pos)
-        entries: list = [dict() for _ in symbols]
-        for exp, c in L.terms.items():
-            d = sum(exp[i] for i in sym_idx)
-            if d == 0:
-                raise ValueError(
-                    f"quantity {n} does not vanish at {symbols} = 0"
-                )
-            if d > 1:
-                continue
-            i = next(i for i in sym_idx if exp[i] == 1)
-            rest_exp = tuple(exp[j] for j in rest_pos)
-            entries[sym_idx[i]][rest_exp] = c
-        rows.append([MultiPoly(rest_vars, t) for t in entries])
+        present = [s for s in symbols if s in L.variables]
+        rest = tuple(v for v in L.variables if v not in symbols)
+        parts = L.graded(present)
+        if 0 in parts:
+            raise ValueError(f"quantity {n} does not vanish at {symbols} = 0")
+        linear = parts.get(1, MultiPoly.zero(L.variables))
+        rows.append([
+            linear.coeff_of(s, 1).with_variables(rest) if s in present
+            else MultiPoly.zero(rest)
+            for s in symbols
+        ])
     return rows
 
 

@@ -238,8 +238,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -332,19 +333,73 @@ class MultiPoly:
 
     def coeff_of(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of var**power, a polynomial in the remaining variables."""
-        i = self._index(var)
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == power:
-                terms[exp[:i] + (0,) + exp[i + 1:]] = c
-        return MultiPoly(self.variables, terms)
+        return self.collect((var,)).get((power,)) or MultiPoly.zero(self.variables)
 
     def coeffs_in(self, var: str) -> list:
         """[c_0, ..., c_deg] with p = sum c_k var^k; empty list for zero."""
-        d = self.degree_in(var)
-        if d is MINUS_INF:
+        groups = self.collect((var,))
+        if not groups:
             return []
-        return [self.coeff_of(var, k) for k in range(d + 1)]
+        return [groups.get((k,)) or MultiPoly.zero(self.variables)
+                for k in range(max(groups)[0] + 1)]
+
+    # -- grouping by named variables -------------------------------------------
+
+    def collect(self, names: Iterable[str]) -> dict:
+        """{exponents in names: coefficient}, so p = sum coeff * names**exponents.
+
+        Each coefficient keeps this polynomial's variable tuple, with the
+        exponents of `names` set to zero.  `from_collected` is the inverse.
+        """
+        idx = tuple(self._index(v) for v in names)
+        groups: dict = {}
+        for exp, c in self.terms.items():
+            rest = list(exp)
+            for i in idx:
+                rest[i] = 0
+            groups.setdefault(tuple([exp[i] for i in idx]), {})[tuple(rest)] = c
+        return {k: MultiPoly(self.variables, t) for k, t in groups.items()}
+
+    def graded(self, names: Iterable[str]) -> dict:
+        """{total degree in names: the part of p of that degree}."""
+        idx = tuple(self._index(v) for v in names)
+        groups: dict = {}
+        for exp, c in self.terms.items():
+            groups.setdefault(sum([exp[i] for i in idx]), {})[exp] = c
+        return {d: MultiPoly(self.variables, t) for d, t in groups.items()}
+
+    def truncated(self, names: Iterable[str], order: int) -> "MultiPoly":
+        """The terms of total degree <= order in names."""
+        idx = tuple(self._index(v) for v in names)
+        return MultiPoly(self.variables, {
+            e: c for e, c in self.terms.items() if sum([e[i] for i in idx]) <= order
+        })
+
+    @classmethod
+    def from_collected(cls, names: Iterable[str], groups: Mapping,
+                       variables: Optional[Iterable[str]] = None) -> "MultiPoly":
+        """Sum of coeff * names**exponents over groups, the inverse of collect.
+
+        Coefficients are scalars or polynomials; the result uses
+        `variables`, which default to `names`.
+        """
+        names = tuple(names)
+        variables = names if variables is None else tuple(variables)
+        idx = tuple(cls.zero(variables)._index(v) for v in names)
+        unit = (0,) * len(variables)
+        terms: dict = {}
+        for key, coeff in groups.items():
+            if isinstance(coeff, MultiPoly):
+                items = coeff.with_variables(variables).terms.items()
+            else:
+                items = ((unit, coeff),)
+            for exp, c in items:
+                new = list(exp)
+                for i, e in zip(idx, key):
+                    new[i] += e
+                new = tuple(new)
+                terms[new] = terms[new] + c if new in terms else c
+        return cls(variables, terms)
 
     # -- exact division -----------------------------------------------------
 

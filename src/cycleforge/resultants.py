@@ -26,7 +26,7 @@ def normalize_unit(p: MultiPoly) -> MultiPoly:
     and positive graded-lex leading coefficient (monic over Q(sqrt d))."""
     if p.is_zero():
         return p
-    coeffs = list(p.terms.values())
+    coeffs = [c.constant_value() for c in p.collect(p.variables).values()]
     if any(isinstance(c, QuadExt) and c.b != 0 for c in coeffs):
         _, lead = p.leading()
         return p * inverse(lead)
@@ -224,9 +224,7 @@ def _prem(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         if dr is MINUS_INF or dr < dq:
             return r
         lcr = r.coeff_of(var, dr)
-        shift = MultiPoly(r.variables,
-                          {tuple(dr - dq if v == var else 0 for v in r.variables): Fraction(1)})
-        r = lcq * r - lcr * shift * q
+        r = lcq * r - lcr * MultiPoly.var(var, r.variables) ** (dr - dq) * q
 
 
 def _content(p: MultiPoly, var: str) -> MultiPoly:

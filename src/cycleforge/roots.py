@@ -30,7 +30,7 @@ def poly_to_coeffs(p: MultiPoly, var: Optional[str] = None) -> list:
 
 
 def coeffs_to_poly(coeffs: list, var: str) -> MultiPoly:
-    return MultiPoly((var,), {(k,): c for k, c in enumerate(coeffs)})
+    return MultiPoly.from_collected((var,), {(k,): c for k, c in enumerate(coeffs)})
 
 
 def strip(coeffs: list) -> list:
@@ -461,8 +461,8 @@ def scalar_enclosure(c, prec: int = 30) -> RatInterval:
 def poly_box_eval(p: MultiPoly, box: dict, prec: int = 30) -> RatInterval:
     """Interval evaluation of p over a box {var: RatInterval}."""
     total = RatInterval.point(0)
-    for exp, c in p.terms.items():
-        term = scalar_enclosure(c, prec)
+    for exp, c in p.collect(p.variables).items():
+        term = scalar_enclosure(c.constant_value(), prec)
         for v, e in zip(p.variables, exp):
             if e:
                 term = term * (_as_interval(box[v]) ** e)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from cycleforge import fields
+from cycleforge import cli, fields
 from cycleforge.cli import main
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -57,17 +57,58 @@ def test_bad_binding_is_input_error(capsys):
     assert code == 2 and "bad rational value" in err
 
 
+SIM = ["simulate", "--family", "P9", "--bind", "mu=0,alpha=1/100,lam=0"]
+START = ["--start", "0.3,0"]
+TMAX = ["--tmax", "1"]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["singular", "--family", "P9", "--bind", "mu=0"], "alpha"),
     (["singular", "--family", "P9", "--bind", "mu=0,alpha=0,lam=0,zzz=3"], "zzz"),
     (["eliminate", "--family", "P4", "--order", "zz"], "zz"),
     (["lyap", "--family", "P4", "--N", "0"], "--N"),
     (["lyap", "--family", "P4", "--N", "-1"], "--N"),
+    (SIM + START + ["--tmax", "nan"], "--tmax"),
+    (SIM + START + ["--tmax", "inf"], "--tmax"),
+    (SIM + START + ["--tmax", "-1"], "--tmax"),
+    (SIM + START + TMAX + ["--rtol", "nan"], "--rtol"),
+    (SIM + START + TMAX + ["--atol", "inf"], "--atol"),
+    (SIM + START + TMAX + ["--samples", "0"], "--samples"),
+    (SIM + ["--start", "5,5"] + TMAX, "--start"),
+    (SIM + ["--start", "nan,0"] + TMAX, "--start"),
+    (SIM + ["--start", "0.1"] + TMAX, "--start"),
+    (["lyap", "--file", "json:[1, 2]"], "JSON object"),
+    (["game-build", "--file", "json:[1, 2]"], "JSON object"),
+    (["bifurcate", "--setup", "json:[1, 2]"], "JSON object"),
+    (["lyap", "--file", 'json:{"f": 1, "g": "x", "variables": 5}'], ".json"),
+    (["game-build", "--file", 'json:{"A": 1, "B": 1}'], ".json"),
+    (["center-certify", "--family", "P4", "--condition", "[1]"], "condition"),
+    (["center-certify", "--family", "P4", "--condition", '{"zz": 1}'], "zz"),
+    (["center-certify", "--family", "P4", "--condition", '{"a11": null}'],
+     "--condition"),
 ])
-def test_bad_input_exits_2_with_one_line(capsys, argv, named):
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if a.startswith("json:"):  # an input file with the given contents
+            argv[i] = str(tmp_path / f"in{i}.json")
+            (tmp_path / f"in{i}.json").write_text(a[len("json:"):])
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("exc", [KeyError, TypeError, AttributeError,
+                                 AssertionError])
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys, exc):
+    def boom(args):
+        raise exc("broken\ninvariant")
+
+    monkeypatch.setattr(cli, "_cmd_lyap", boom)
+    code, out, err = run(capsys, "lyap", "--family", "P4")
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal error: {exc.__name__}: ")
+    assert err.count("\n") == 1 and "broken" in err
 
 
 def test_center_certify_strict_negative(capsys):

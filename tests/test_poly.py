@@ -1,8 +1,10 @@
 """Sparse multivariate polynomial arithmetic."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cycleforge.poly import MultiPoly, PolyParseError, format_poly, parse_poly
 
@@ -102,3 +104,121 @@ def test_eval_scalar_matches_substitution():
     p = parse_poly("3*x^2*y - y + 7")
     v = p.eval_scalar({"x": Fraction(2, 3), "y": Fraction(-1, 2)})
     assert v == Fraction(3 * 4, 9) * Fraction(-1, 2) + Fraction(1, 2) + 7
+
+
+# -- grouping by named variables ------------------------------------------------
+
+ALL_VARS = ("x", "y", "a", "b")
+
+
+@st.composite
+def grouped(draw):
+    """(p, names): p in 3 or 4 variables, names a nonempty ordered subset."""
+    n = draw(st.integers(3, 4))
+    vs = ALL_VARS[:n]
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    p = MultiPoly(vs, draw(st.dictionaries(exps, coeffs, max_size=6)))
+    names = tuple(draw(st.permutations(vs))[:draw(st.integers(1, n))])
+    return p, names
+
+
+def _to_sympy(sympy, p):
+    syms = sympy.symbols(p.variables)
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[s**e for s, e in zip(syms, exp)])
+        for exp, c in p.terms.items()
+    ])
+
+
+def _sympy_collect(sympy, p, names):
+    """{exponents in names: coefficient} as sympy computes it."""
+    return sympy.Poly(_to_sympy(sympy, p), *sympy.symbols(names)).as_dict()
+
+
+@settings(deadline=None)  # the first example pays the sympy import
+@given(grouped())
+def test_collect_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, names = case
+    ours = p.collect(names)
+    theirs = _sympy_collect(sympy, p, names)
+    assert set(ours) == set(theirs)
+    for key, c in ours.items():
+        assert c.variables == p.variables
+        assert all(c.degree_in(v) == 0 for v in names)
+        assert sympy.expand(_to_sympy(sympy, c) - theirs[key]) == 0
+
+
+@settings(deadline=None)  # the first example pays the sympy import
+@given(grouped())
+def test_graded_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, names = case
+    gens = sympy.symbols(names)
+    theirs: dict = {}
+    for key, c in _sympy_collect(sympy, p, names).items():
+        mono = sympy.Mul(*[g**e for g, e in zip(gens, key)])
+        theirs[sum(key)] = theirs.get(sum(key), 0) + c * mono
+    ours = p.graded(names)
+    assert set(ours) == set(theirs)
+    for d, part in ours.items():
+        assert part.variables == p.variables
+        assert sympy.expand(_to_sympy(sympy, part) - theirs[d]) == 0
+
+
+@given(grouped())
+def test_from_collected_inverts_collect(case):
+    p, names = case
+    back = MultiPoly.from_collected(names, p.collect(names), p.variables)
+    assert back.variables == p.variables and back == p
+
+
+@given(grouped())
+def test_truncated_is_sum_of_low_graded_parts(case):
+    p, names = case
+    parts = p.graded(names)
+    for order in range(-1, max(parts, default=0) + 1):
+        low = MultiPoly.zero(p.variables)
+        for d, part in parts.items():
+            if d <= order:
+                low = low + part
+        assert p.truncated(names, order) == low
+
+
+@given(grouped())
+def test_coeffs_in_matches_term_scan(case):
+    p, _ = case
+    for i, v in enumerate(p.variables):
+        top = max((e[i] for e in p.terms), default=-1)
+        expected = [
+            MultiPoly(p.variables, {e[:i] + (0,) + e[i + 1:]: c
+                                    for e, c in p.terms.items() if e[i] == k})
+            for k in range(top + 1)
+        ]
+        got = p.coeffs_in(v)
+        assert got == expected
+        assert all(c.variables == p.variables for c in got)
+        assert [p.coeff_of(v, k) for k in range(top + 1)] == expected
+
+
+def test_from_collected_takes_scalar_coefficients():
+    p = MultiPoly.from_collected(("t",), {(0,): Fraction(1), (2,): Fraction(-3)})
+    assert p == parse_poly("1 - 3*t^2", ("t",))
+
+
+def test_term_layout_stays_inside_poly():
+    """Only poly.py reads MultiPoly.terms or builds from exponent tuples."""
+    src = Path(__file__).resolve().parent.parent / "src" / "cycleforge"
+    paths = sorted(p for p in src.glob("*.py") if p.name != "poly.py")
+    assert paths
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                offenders.append(f"{path.name}:{node.lineno}: .terms")
+            elif isinstance(node, ast.Call) and "MultiPoly" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: MultiPoly(...)")
+    assert offenders == []

@@ -3,6 +3,10 @@
 The integrator is an adaptive embedded Runge-Kutta 5(4) pair (scipy's
 RK45) at tight tolerances; return-map crossings are located by
 sign-bracketed bisection on the dense output, never by extrapolation.
+
+numpy and scipy are imported only when `integrate` or `return_map` runs,
+so importing this module (and the CLI, which imports it) stays cheap for
+the exact symbolic commands, which never load them.
 """
 
 from __future__ import annotations
@@ -12,11 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-from scipy.integrate import solve_ivp
-
 from .fields import VectorField
 from .poly import MultiPoly
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _compile(p: MultiPoly):
@@ -65,6 +73,8 @@ def integrate(
     samples: int = 1000,
 ) -> Trajectory:
     """Integrate from x0 for t in [0, tmax], sampled on a uniform grid."""
+    import numpy as np
+
     rhs, _ = _rhs(field, binding)
     t_eval = np.linspace(0.0, float(tmax), samples)
     sol = solve_ivp(
@@ -113,6 +123,8 @@ def return_map(
     the guard annulus (defaults: [radius/10, 10*radius]) is reported as
     such for that radius.
     """
+    import numpy as np
+
     rhs, fb = _rhs(field, binding)
     fx, fy = float(focus[0]), float(focus[1])
     dx, dy = float(direction[0]), float(direction[1])

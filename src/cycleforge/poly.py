@@ -233,15 +233,15 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(1, self.variables)
+        result = None  # no 1*base product for the lowest set bit
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return MultiPoly.const(1, self.variables) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):

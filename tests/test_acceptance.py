@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from cycleforge import bifurcation, centers, dynamics, fields, integrate, lyapunov
 from cycleforge.fields import VectorField
 from cycleforge.poly import MultiPoly, format_poly, parse_poly

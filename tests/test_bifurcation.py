@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from cycleforge import bifurcation
 from cycleforge.bifurcation import (
     build_perturbation,
     ggt_analyze,
@@ -17,7 +16,7 @@ from cycleforge.bifurcation import (
     ratfunc,
 )
 from cycleforge.fields import VectorField
-from cycleforge.poly import MultiPoly, parse_poly
+from cycleforge.poly import parse_poly
 
 
 def test_build_perturbation_rejects_line_breaking_terms():

@@ -1,7 +1,5 @@
 """Center certificates: invariant curves, cofactors, integrating factors."""
 
-from fractions import Fraction
-
 import pytest
 
 from cycleforge import centers, fields

@@ -6,8 +6,7 @@ import pytest
 
 from cycleforge import dynamics
 from cycleforge.fields import VectorField
-from cycleforge.poly import MultiPoly, parse_poly
-from cycleforge.roots import RatInterval
+from cycleforge.poly import parse_poly
 
 
 def _pair(fs, gs):

@@ -11,7 +11,7 @@ from cycleforge.lyapunov import (
     lyapunov_quantities,
     normalize_at,
 )
-from cycleforge.poly import MultiPoly, parse_poly
+from cycleforge.poly import parse_poly
 
 
 def test_reversible_field_has_zero_quantities():

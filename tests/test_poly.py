@@ -222,3 +222,28 @@ def test_term_layout_stays_inside_poly():
             ):
                 offenders.append(f"{path.name}:{node.lineno}: MultiPoly(...)")
     assert offenders == []
+
+
+@pytest.mark.parametrize("e", range(10))
+def test_power_of_variable_is_the_monomial(e, monkeypatch):
+    x = MultiPoly.var("x", VARS)
+    muls = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        muls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert x**e == MultiPoly(VARS, {(e, 0): 1})
+    # square-and-multiply from the lowest set bit: no product with 1
+    assert len(muls) == max(e.bit_length() + bin(e).count("1") - 2, 0)
+
+
+@given(polys(), st.integers(0, 5))
+def test_power_is_repeated_product(p, n):
+    expected = MultiPoly.const(1, VARS)
+    for _ in range(n):
+        expected = expected * p
+    assert p**n == expected
+    assert p**0 == 1

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .fields import VectorField
 from .linalg import ExactMatrix, solve_linear_exact
-from .poly import MultiPoly, format_poly
+from .poly import MultiPoly, format_poly, parse_poly
 
 REVERSIBILITY_LINES = ("x=0", "y=0", "y=x", "y=-x")
 
@@ -180,8 +180,6 @@ def certify(
         return CenterCertificate(
             kind="reversible", line=lines[0], witness=",".join(lines)
         )
-    from .poly import parse_poly
-
     curves = [parse_poly(s, field.variables) for s in DEFAULT_CURVES]
     curves.extend(extra_curves)
     cert = darboux_search(field, curves)

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 from .centers import cofactor
 from .fields import VectorField
-from .poly import MultiPoly, format_poly
+from .poly import MultiPoly, format_poly, parse_poly
 from .resultants import (
     first_subresultant,
     multivariate_gcd,
@@ -26,6 +26,8 @@ from .roots import (
     IsolatingInterval,
     RatInterval,
     RootLocation,
+    coeffs_to_poly,
+    gcd_univariate,
     poly_box_eval,
     poly_to_coeffs,
     real_roots,
@@ -267,8 +269,6 @@ def _pair_at_rational(fu: MultiPoly, gu: MultiPoly, var: str,
                       other: str, val: Fraction) -> list:
     """Common zeros of two univariate polynomials in `var`, with the
     `other` coordinate fixed at the rational `val`."""
-    from .roots import gcd_univariate
-
     fc = poly_to_coeffs(fu, var)
     gc = poly_to_coeffs(gu, var)
     if not fc and not gc:
@@ -279,8 +279,6 @@ def _pair_at_rational(fu: MultiPoly, gu: MultiPoly, var: str,
         coeffs = gcd_univariate(fc, gc)
     if len(coeffs) <= 1:
         return []
-    from .roots import coeffs_to_poly
-
     defining = coeffs_to_poly(coeffs, var)
     out = []
     for r in real_roots(coeffs):
@@ -333,6 +331,13 @@ def _univariate_split(uni: MultiPoly, rest: MultiPoly, uni_var: str,
     return points
 
 
+def _jacobian_invariants(P: MultiPoly, Q: MultiPoly) -> tuple:
+    """(det, trace, trace^2 - 4 det) of the Jacobian of (P, Q)."""
+    det = P.diff("x") * Q.diff("y") - P.diff("y") * Q.diff("x")
+    trace = P.diff("x") + Q.diff("y")
+    return det, trace, trace * trace - 4 * det
+
+
 def _in_delta(pt: CertifiedPoint, lx: MultiPoly, ly: MultiPoly) -> bool:
     return pt.sign_of(lx) < 0 and pt.sign_of(ly) < 0
 
@@ -357,20 +362,15 @@ def singularities_in_delta(
     except ValueError as e:
         return SingularityReport(points=[], degenerate_family=True,
                                  reason=str(e))
-    P, Q = fb.P, fb.Q
-    det = P.diff("x") * Q.diff("y") - P.diff("y") * Q.diff("x")
-    trace = P.diff("x") + Q.diff("y")
-    discr = trace * trace - 4 * det
+    invariants = _jacobian_invariants(fb.P, fb.Q)
     vs = fb.f.variables
-    from .poly import parse_poly
-
     lx = parse_poly("4*x^2 - 1", vs)
     ly = parse_poly("4*y^2 - 1", vs)
     out = []
     for pt in pts:
         if region == "delta" and not _in_delta(pt, lx, ly):
             continue
-        out.append(_classify(pt, det, trace, discr))
+        out.append(_classify(pt, *invariants))
     return SingularityReport(points=out)
 
 
@@ -383,10 +383,8 @@ def pair_report(f: MultiPoly, g: MultiPoly) -> SingularityReport:
     except ValueError as e:
         return SingularityReport(points=[], degenerate_family=True,
                                  reason=str(e))
-    det = f.diff("x") * g.diff("y") - f.diff("y") * g.diff("x")
-    trace = f.diff("x") + g.diff("y")
-    discr = trace * trace - 4 * det
-    return SingularityReport(points=[_classify(p, det, trace, discr) for p in pts])
+    invariants = _jacobian_invariants(f, g)
+    return SingularityReport(points=[_classify(p, *invariants) for p in pts])
 
 
 # -- index identity -----------------------------------------------------------------

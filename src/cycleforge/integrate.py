@@ -1,12 +1,13 @@
 """Numerical trajectories and Poincare return maps.
 
 The integrator is an adaptive embedded Runge-Kutta 5(4) pair (scipy's
-RK45) at tight tolerances; return-map crossings are located by
-sign-bracketed bisection on the dense output, never by extrapolation.
+RK45) at tight tolerances.  The return map integrates exactly one turn
+in the polar angle around the focus and reads the displacement off the
+endpoint (Andronov, Leontovich, Gordon & Maier, 1973).
 
-numpy and scipy are imported only when `integrate` or `return_map` runs,
-so importing this module (and the CLI, which imports it) stays cheap for
-the exact symbolic commands, which never load them.
+scipy is imported on the first integration and numpy only inside
+`integrate`, so importing this module (and the CLI, which imports it)
+stays cheap for the exact symbolic commands, which never load them.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _rhs(field: VectorField, binding: Optional[Mapping]):
 
 @dataclass
 class Trajectory:
-    t: np.ndarray
-    xy: np.ndarray  # shape (n, 2)
+    t: Sequence[float]  # numpy arrays: t has shape (n,), xy (n, 2)
+    xy: Sequence[Sequence[float]]
     status: str  # "ok" | "truncated"
     diagnostic: str = ""
 
@@ -83,23 +84,7 @@ def integrate(
     )
     if sol.success:
         return Trajectory(t=sol.t, xy=sol.y.T, status="ok")
-    return Trajectory(
-        t=sol.t, xy=sol.y.T, status="truncated",
-        diagnostic=sol.message,
-    )
-
-
-def _angular_speed(fb: VectorField, focus) -> float:
-    """sqrt(det DX) at the focus: the local rotation rate."""
-    at = {"x": Fraction(focus[0]), "y": Fraction(focus[1])}
-    px = fb.P.diff("x").eval_scalar(at)
-    py = fb.P.diff("y").eval_scalar(at)
-    qx = fb.Q.diff("x").eval_scalar(at)
-    qy = fb.Q.diff("y").eval_scalar(at)
-    det = float(px * qy - py * qx)
-    if det <= 0:
-        raise ValueError("focus Jacobian determinant is not positive")
-    return math.sqrt(det)
+    return Trajectory(t=sol.t, xy=sol.y.T, status="truncated", diagnostic=sol.message)
 
 
 def return_map(
@@ -110,107 +95,91 @@ def return_map(
     radii: Sequence = (1e-2,),
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    guard: Optional[tuple] = None,
-    max_revolutions: float = 8.0,
-    time_tol: float = 1e-12,
 ) -> list:
-    """Signed radial displacement after one revolution, per start radius.
+    """Signed radial displacement after one turn, per start radius.
 
-    The transversal is the ray from the focus along `direction`.  The
-    first re-crossing (same rotational sense, positive ray side, after at
-    least a quarter revolution) is bracketed on a fine sample of the dense
-    output and bisected down to `time_tol` in time.  A trajectory leaving
-    the guard annulus (defaults: [radius/10, 10*radius]) is reported as
-    such for that radius.
+    The transversal is the ray from the focus along the unit vector d of
+    `direction`.  The polar angle phi turns from it in the sense
+    s = sign(d x X) of the flow X at the start: d_perp = s (-d_y, d_x),
+    e_r = cos(phi) d + sin(phi) d_perp and e_phi = de_r/dphi.  Each start
+    radius r0 is integrated on its own over phi in [0, 2 pi]:
+
+        dr/dphi = r (X.e_r) / (X.e_phi),    dt/dphi = r / (X.e_phi),
+
+    so the displacement is r(2 pi) - r0 and the return time is t(2 pi).
+
+    Each row has the "radius" and a "status":
+    - "ok": with "displacement" and "time"; a displacement within the
+      tolerance atol + rtol r0 has no resolved sign and is reported as 0.0;
+    - "left_annulus": r left [r0/10, 10 r0] at the row's "time";
+    - "no_return": the angular speed X.e_phi fell to zero;
+    - "tangent_start": the flow runs along the ray at the start;
+    - "integration_failed": the solver's message is the "diagnostic".
     """
-    import numpy as np
-
-    rhs, fb = _rhs(field, binding)
-    fx, fy = float(focus[0]), float(focus[1])
     dx, dy = float(direction[0]), float(direction[1])
-    dn = math.hypot(dx, dy)
-    dx, dy = dx / dn, dy / dn
-    omega = _angular_speed(fb, (Fraction(focus[0]).limit_denominator(10**12),
-                                Fraction(focus[1]).limit_denominator(10**12)))
-    period = 2 * math.pi / omega
+    norm = math.hypot(dx, dy)
+    if not 0 < norm < math.inf:
+        raise ValueError("direction must be a nonzero finite vector")
+    dx, dy = dx / norm, dy / norm
+    radii = [float(r) for r in radii]
+    if not all(0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
+    rhs, fb = _rhs(field, binding)
+    at = {v: Fraction(c).limit_denominator(10**12) for v, c in zip("xy", focus)}
+    (px, py), (qx, qy) = ([c.diff(v).eval_scalar(at) for v in "xy"]
+                          for c in (fb.P, fb.Q))
+    if float(px * qy - py * qx) <= 0:
+        raise ValueError("focus Jacobian determinant is not positive")
+    fx, fy = float(focus[0]), float(focus[1])
     results = []
-    for r in radii:
-        r = float(r)
-        g_in, g_out = guard if guard is not None else (r / 10, 10 * r)
-        start = (fx + r * dx, fy + r * dy)
-        d0 = rhs(0.0, start)
-        sense = dx * d0[1] - dy * d0[0]  # sign of initial angular motion
-        if sense == 0:
-            results.append({"radius": r, "status": "tangent_start"})
+    for r0 in radii:
+        vx, vy = rhs(0.0, (fx + r0 * dx, fy + r0 * dy))
+        turn = dx * vy - dy * vx
+        if turn == 0:
+            results.append({"radius": r0, "status": "tangent_start"})
             continue
-        sense = 1.0 if sense > 0 else -1.0
+        s = math.copysign(1.0, turn)
+        nx, ny = -s * dy, s * dx
 
-        def cross(z):
-            return sense * (dx * (z[1] - fy) - dy * (z[0] - fx))
+        def polar(phi, r):
+            """(X.e_r, X.e_phi) at polar coordinates (r, phi)."""
+            c, sn = math.cos(phi), math.sin(phi)
+            ex, ey = c * dx + sn * nx, c * dy + sn * ny
+            vx, vy = rhs(phi, (fx + r * ex, fy + r * ey))
+            return vx * ex + vy * ey, vx * (c * nx - sn * dx) + vy * (c * ny - sn * dy)
 
-        def dot(z):
-            return dx * (z[0] - fx) + dy * (z[1] - fy)
+        def flow(phi, state):
+            radial, angular = polar(phi, state[0])
+            return state[0] * radial / angular, state[0] / angular
 
-        def radius(z):
-            return math.hypot(z[0] - fx, z[1] - fy)
+        def left_annulus(phi, state):
+            return (state[0] - r0 / 10) * (10 * r0 - state[0])
 
-        tmax = max_revolutions * period
-        sol = solve_ivp(
-            rhs, (0.0, tmax), start, method="RK45",
-            rtol=rtol, atol=atol, dense_output=True,
-        )
-        if not sol.success:
-            results.append({"radius": r, "status": "integration_failed",
-                            "diagnostic": sol.message})
-            continue
-        n = max(2000, int(800 * sol.t[-1] / period))
-        ts = np.linspace(0.0, sol.t[-1], n)
-        zs = sol.sol(ts)
-        hit = None
-        left = None
-        prev_c = cross((zs[0][0], zs[1][0]))
-        for i in range(1, n):
-            z = (zs[0][i], zs[1][i])
-            rr = radius(z)
-            if rr > g_out or rr < g_in:
-                left = ts[i]
-                break
-            c = cross(z)
-            if (ts[i] > 0.2 * period and prev_c < 0 <= c and dot(z) > 0):
-                lo, hi = ts[i - 1], ts[i]
-                while hi - lo > time_tol:
-                    mid = (lo + hi) / 2
-                    zm = sol.sol(mid)
-                    if cross((zm[0], zm[1])) < 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                zstar = sol.sol((lo + hi) / 2)
-                hit = ((lo + hi) / 2, radius((zstar[0], zstar[1])))
-                break
-            prev_c = c
-        if left is not None:
-            results.append({"radius": r, "status": "left_annulus", "time": left})
-        elif hit is None:
-            results.append({"radius": r, "status": "no_return"})
+        def no_return(phi, state):
+            return polar(phi, state[0])[1]
+
+        left_annulus.terminal = no_return.terminal = True
+        sol = solve_ivp(flow, (0.0, 2 * math.pi), (r0, 0.0), method="RK45",
+                        rtol=rtol, atol=atol, events=(left_annulus, no_return))
+        if sol.status == -1:
+            row = {"status": "integration_failed", "diagnostic": sol.message}
+        elif sol.t_events[0].size:
+            row = {"status": "left_annulus", "time": float(sol.y_events[0][0][1])}
+        elif sol.t_events[1].size:
+            row = {"status": "no_return"}
         else:
-            results.append({
-                "radius": r,
-                "status": "ok",
-                "time": hit[0],
-                "displacement": hit[1] - r,
-            })
+            d = float(sol.y[0][-1]) - r0
+            row = {"status": "ok", "time": float(sol.y[1][-1]),
+                   "displacement": d if abs(d) > atol + rtol * r0 else 0.0}
+        results.append({"radius": r0, **row})
     return results
 
 
 def displacement_sign_changes(table: list) -> list:
     """Pairs of consecutive radii whose displacements change sign."""
-    out = []
     ok = [row for row in table if row.get("status") == "ok"]
-    for a, b in zip(ok, ok[1:]):
-        if a["displacement"] * b["displacement"] < 0:
-            out.append((a["radius"], b["radius"]))
-    return out
+    return [(a["radius"], b["radius"]) for a, b in zip(ok, ok[1:])
+            if a["displacement"] * b["displacement"] < 0]
 
 
 def refine_cycle_bracket(

@@ -275,7 +275,11 @@ def real_roots(coeffs: list) -> List[RootLocation]:
         raise ValueError("zero polynomial has every point as a root")
     if deg(coeffs) == 0:
         return []
-    sf = squarefree_part(coeffs)
+    return _squarefree_real_roots(squarefree_part(coeffs))
+
+
+def _squarefree_real_roots(sf: list) -> List[RootLocation]:
+    """`real_roots` of a square-free polynomial of positive degree."""
     rroots = [r for r, _ in rational_roots(sf)]
     rest = sf
     for r in rroots:
@@ -346,18 +350,16 @@ def isolate_real_roots(p: MultiPoly, var: Optional[str] = None) -> List[Isolatin
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     coeffs = poly_to_coeffs(p, var)
+    if deg(coeffs) == 0:
+        return []
     sf = squarefree_part(coeffs)
-    out = []
-    for r in real_roots(coeffs):
-        if isinstance(r, IsolatingInterval):
-            out.append(r)
-        else:
-            out.append(_rational_to_interval(sf, r))
+    chain = sturm_chain(sf)
+    out = [r if isinstance(r, IsolatingInterval) else _rational_to_interval(sf, chain, r)
+           for r in _squarefree_real_roots(sf)]
     return sorted(out, key=lambda iv: iv.lo)
 
 
-def _rational_to_interval(sf: list, r: Fraction) -> IsolatingInterval:
-    chain = sturm_chain(sf)
+def _rational_to_interval(sf: list, chain: list, r: Fraction) -> IsolatingInterval:
     gap = Fraction(1)
     while True:
         lo, hi = r - gap, r + gap

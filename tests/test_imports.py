@@ -49,15 +49,19 @@ print(json.dumps({{"before": before, "after": numeric(), "codes": codes}}))
 """
 
 
-def _probe(commands):
+def _python(code, *args):
+    """Standard output of `python -c code *args` with src/ on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(numeric=NUMERIC),
-         json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True).stdout
+
+
+def _probe(commands):
+    out = _python(_PROBE.format(numeric=NUMERIC), json.dumps(commands))
+    return json.loads(out.splitlines()[-1])
 
 
 def _numeric_imports(path):
@@ -97,6 +101,15 @@ def test_symbolic_commands_load_no_numeric_module():
     seen = _probe(SYMBOLIC)
     assert seen["codes"] == [0] * len(SYMBOLIC)
     assert seen["before"] == [] and seen["after"] == []
+
+
+def test_trajectory_type_hints_resolve_without_numpy():
+    out = _python(
+        "import sys, typing\n"
+        "from cycleforge import integrate\n"
+        "print(sorted(typing.get_type_hints(integrate.Trajectory)))\n"
+        f"print([m for m in sys.modules if m.split('.')[0] in {NUMERIC}])\n")
+    assert out.splitlines() == ["['diagnostic', 'status', 't', 'xy']", "[]"]
 
 
 def test_simulate_loads_scipy_and_writes_the_solver_csv(tmp_path):

@@ -58,7 +58,43 @@ def test_return_map_guard_annulus():
     fld = VectorField(parse_poly("y - x", ("x", "y")),
                       parse_poly("-x - y", ("x", "y")))
     rows = integrate.return_map(fld, None, (0, 0), radii=(1e-2,))
-    assert rows[0]["status"] in ("left_annulus", "no_return")
+    assert rows[0]["status"] == "left_annulus"
+
+
+@pytest.mark.parametrize("a", ["1/100", "-1/100", "1/20", "-1/20"])
+@pytest.mark.parametrize("omega", ["1", "2"])
+def test_return_map_matches_linear_focus(a, omega):
+    # P ~ a*x - omega*y, Q ~ omega*x + a*y near the origin: one turn takes
+    # 2*pi/omega and scales the radius by exp(2*pi*a/omega).  The square's
+    # factors slow the turn by a relative r0^2 on average, so r0 is small.
+    fld = VectorField(parse_poly(f"-({a}*x - {omega}*y)", ("x", "y")),
+                      parse_poly(f"-({omega}*x + {a}*y)", ("x", "y")))
+    r0 = 1e-4
+    row = integrate.return_map(fld, None, (0, 0), radii=(r0,))[0]
+    rate, w = float(Fraction(a)), float(Fraction(omega))
+    assert row["status"] == "ok"
+    assert math.isclose(row["displacement"], r0 * math.expm1(2 * math.pi * rate / w),
+                        rel_tol=1e-4)
+    assert math.isclose(row["time"], 2 * math.pi / w, rel_tol=1e-6)
+
+
+def test_sweep_rows_equal_single_radius_calls():
+    fam = fields.p9_family()
+    alpha = Fraction(1, 1000)
+    binding = {"mu": Fraction(0), "alpha": alpha, "lam": -8 * alpha}
+    radii = [0.01, 0.02, 0.03, 0.045, 0.06, 0.09, 0.12]
+    kw = {"direction": (1, 0), "rtol": 1e-9, "atol": 1e-11}
+    rows = integrate.return_map(fam, binding, (0.25, 0.0), radii=radii, **kw)
+    assert [r["status"] for r in rows] == ["ok"] * len(radii)
+    for r, row in zip(radii, rows):
+        assert integrate.return_map(fam, binding, (0.25, 0.0), radii=(r,), **kw) == [row]
+
+
+def test_return_map_rejects_bad_direction_and_radius():
+    with pytest.raises(ValueError, match="direction"):
+        integrate.return_map(_center_field(), None, (0, 0), direction=(0, 0))
+    with pytest.raises(ValueError, match="radii"):
+        integrate.return_map(_center_field(), None, (0, 0), radii=(-1e-2,))
 
 
 def test_trajectory_csv_round_trip():

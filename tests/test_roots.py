@@ -103,6 +103,20 @@ def test_isolate_real_roots_multipoly():
     p = parse_poly("x^3 - x")
     ivs = isolate_real_roots(p)
     assert len(ivs) == 3
+    # roots -1/2, 1 and the irrational cube root of 2
+    p = parse_poly("(x - 1)*(2*x + 1)*(x^3 - 2)")
+    coeffs = poly_to_coeffs(p, "x")
+    chain = sturm_chain(squarefree_part(coeffs))
+    ivs = isolate_real_roots(p)
+    assert [(iv.lo, iv.hi) for iv in ivs] == [
+        (Fraction(-3, 2), Fraction(1, 2)),
+        (Fraction(3, 4), Fraction(5, 4)),
+        (Fraction(9, 8), Fraction(3, 2)),
+    ]
+    for iv, root in zip(ivs, (-0.5, 1.0, 2 ** (1 / 3))):
+        assert iv.lo < root < iv.hi
+        assert root_count_interval(chain, iv.lo, iv.hi) == 1
+    assert ivs[2] == real_roots(coeffs)[2]
 
 
 def test_sign_at_root_exact():

@@ -21,6 +21,10 @@ from .poly import PolyParseError, parse_poly
 from .resultants import cascade
 
 
+# Longest `simulate` horizon: at the default tolerances one time unit of a
+# P9 orbit costs about 5 ms of RK45 work, so 1e4 stays near a minute.
+MAX_TMAX = 1.0e4
+
 FAMILIES = {
     "P4": fields.p4_family,
     "P5": fields.p5_family,
@@ -248,6 +252,8 @@ def _cmd_simulate(args) -> int:
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):
             raise InputError(f"--{flag} must be finite and positive, got {value}")
+    if args.tmax > MAX_TMAX:
+        raise InputError(f"--tmax must be at most {MAX_TMAX:g}, got {args.tmax:g}")
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     try:

@@ -218,7 +218,8 @@ def lyapunov_quantities(
                 A[row_of[(i + 1, j - 1)]][col] += j
         if k % 2 == 0:
             A[row_of[(k, 0)]][len(mons)] = Fraction(-1)
-        parts = pending.get(k, param_zero).collect(XY)
+        # degree k is solved here and never read again
+        parts = pending.pop(k, param_zero).collect(XY)
         b = [-parts.get(mon, param_zero) for mon in mons]
         order = list(range(ncols))
         if k % 2 == 0:

@@ -1,8 +1,19 @@
 """Sparse multivariate polynomials over exact scalars (Q or Q(sqrt(d))).
 
-Terms are stored as {exponent tuple: nonzero scalar} relative to an ordered
-variable tuple.  Canonical iteration order is graded lexicographic, which
-keeps printed output and serialized reports deterministic.
+Terms are kept relative to an ordered variable tuple.  Each monomial is
+one int key (packed exponent vectors; Monagan & Pearce, CASC 2007): the
+total degree in the top field, then one `_W`-bit field per variable, the
+first variable most significant.  Adding two keys multiplies the
+monomials, and comparing keys compares in graded lexicographic order, the
+canonical order that keeps printed output and serialized reports
+deterministic.  An exponent that does not fit its field raises
+OverflowError; it never carries into the next variable.
+
+A rational polynomial stores integer numerators over one shared positive
+denominator, with the gcd of the denominator and all numerators 1.  A
+polynomial with a coefficient in Q(sqrt(d)) keeps its scalars (Fraction or
+QuadExt) as they are; the form follows from the coefficients.  `terms` is
+a read-only {exponent tuple: scalar} view of either form.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .scalars import QuadExt, ScalarLike, format_scalar, inverse, is_zero
+from .scalars import QuadExt, ScalarLike, format_scalar, gcd, inverse, is_zero, lcm
 
 
 class _MinusInf:
@@ -48,68 +59,178 @@ class _MinusInf:
 
 MINUS_INF = _MinusInf()
 
+_W = 16  # bits per variable field of a monomial key
+_MAX_EXP = (1 << _W) - 1
 
-def _grlex_key(exp: tuple) -> tuple:
-    return (sum(exp), exp)
+
+def _shifts(n: int) -> range:
+    """Bit offsets of the variable fields, first variable first."""
+    return range(_W * (n - 1), -1, -_W)
+
+
+def _pack(exp, n: int) -> int:
+    if len(exp) != n:
+        raise ValueError(f"exponent {tuple(exp)!r} does not match {n} variables")
+    key = deg = 0
+    for e in exp:
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(exp)!r}")
+        if e > _MAX_EXP:
+            raise OverflowError(f"exponent {e} exceeds the {_W}-bit field")
+        key = (key << _W) | e
+        deg += e
+    return (deg << (_W * n)) | key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    return tuple([(key >> s) & _MAX_EXP for s in _shifts(n)])
+
+
+def _check_sum(variables: tuple, a, b):
+    """Raise unless every sum of a key from a and a key from b fits."""
+    n = len(variables)
+    top = _W * n
+    if not a or not b or (max(a) >> top) + (max(b) >> top) <= _MAX_EXP:
+        return
+    for v, s in zip(variables, _shifts(n)):
+        e = max((k >> s) & _MAX_EXP for k in a) + max((k >> s) & _MAX_EXP for k in b)
+        if e > _MAX_EXP:
+            raise OverflowError(f"exponent {e} of {v!r} exceeds the {_W}-bit field")
+
+
+def _new(variables: tuple, c: dict, d: Optional[int]) -> "MultiPoly":
+    p = object.__new__(MultiPoly)
+    p.variables, p._c, p._d = variables, c, d
+    return p
+
+
+def _rational(variables: tuple, c: dict, d: int = 1) -> "MultiPoly":
+    """Numerators c over d, brought to the canonical form."""
+    if 0 in c.values():
+        c = {k: v for k, v in c.items() if v}
+    if d != 1:
+        g = gcd(d, *c.values())
+        if g != 1:
+            c = {k: v // g for k, v in c.items()}
+            d //= g
+    return _new(variables, c, d)
+
+
+def _from_scalars(variables: tuple, c: dict) -> "MultiPoly":
+    """{key: scalar} in either form, picked from the coefficients."""
+    c = {k: v for k, v in c.items() if not is_zero(v)}
+    if any(isinstance(v, QuadExt) for v in c.values()):
+        return _new(variables, c, None)
+    # over the lcm of reduced denominators the numerators are coprime to it
+    d = lcm(*[v.denominator for v in c.values()])
+    return _new(variables, {k: v.numerator * (d // v.denominator)
+                            for k, v in c.items()}, d)
+
+
+class _Terms:
+    """Read-only {exponent tuple: scalar} view of a polynomial's terms."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "MultiPoly"):
+        self._p = p
+
+    def __len__(self):
+        return len(self._p._c)
+
+    def __iter__(self):
+        n = len(self._p.variables)
+        return (_unpack(k, n) for k in self._p._c)
+
+    keys = __iter__
+
+    def __getitem__(self, exp):
+        return self._p._scalar(self._p._c[_pack(exp, len(self._p.variables))])
+
+    def values(self):
+        return [self._p._scalar(v) for v in self._p._c.values()]
+
+    def items(self):
+        p = self._p
+        n = len(p.variables)
+        return [(_unpack(k, n), p._scalar(v)) for k, v in p._c.items()]
 
 
 class MultiPoly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_c", "_d")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, ScalarLike]):
-        self.variables = tuple(variables)
-        clean = {}
-        for exp, c in terms.items():
-            if not is_zero(c):
-                clean[tuple(exp)] = c
-        self.terms = clean
+        variables = tuple(variables)
+        n = len(variables)
+        p = _from_scalars(variables, {_pack(e, n): c for e, c in terms.items()})
+        self.variables, self._c, self._d = variables, p._c, p._d
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self)
+
+    def _scalar(self, v) -> ScalarLike:
+        d = self._d
+        if d is None:
+            return v
+        return Fraction(v) if d == 1 else Fraction(v, d)
+
+    def _scalars(self) -> dict:
+        """{key: scalar}, the form every Q(sqrt d) operation works on."""
+        if self._d is None:
+            return self._c
+        return {k: self._scalar(v) for k, v in self._c.items()}
+
+    def _part(self, c: dict) -> "MultiPoly":
+        """A polynomial made of some of this polynomial's coefficients."""
+        if self._d is None:
+            return _from_scalars(self.variables, c)
+        return _rational(self.variables, c, self._d)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> "MultiPoly":
-        return cls(variables, {})
+        return _new(tuple(variables), {}, 1)
 
     @classmethod
     def const(cls, c: ScalarLike, variables: Iterable[str] = ()) -> "MultiPoly":
-        variables = tuple(variables)
-        if isinstance(c, int):
-            c = Fraction(c)
-        return cls(variables, {(0,) * len(variables): c})
+        return _from_scalars(tuple(variables), {0: c})
 
     @classmethod
     def var(cls, name: str, variables: Optional[Iterable[str]] = None) -> "MultiPoly":
         variables = (name,) if variables is None else tuple(variables)
-        exp = tuple(1 if v == name else 0 for v in variables)
         if name not in variables:
             raise KeyError(f"unknown variable {name!r}")
-        return cls(variables, {exp: Fraction(1)})
+        n = len(variables)
+        key = (1 << (_W * n)) | (1 << _shifts(n)[variables.index(name)])
+        return _new(variables, {key: 1}, 1)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not self._c or (len(self._c) == 1 and 0 in self._c)
 
     def constant_value(self) -> ScalarLike:
-        if not self.terms:
+        if not self._c:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return self._scalar(self._c[0])
 
     def degree(self):
-        if not self.terms:
+        if not self._c:
             return MINUS_INF
-        return max(sum(exp) for exp in self.terms)
+        return max(self._c) >> (_W * len(self.variables))
 
     def degree_in(self, var: str):
-        i = self._index(var)
-        if not self.terms:
+        s = self._shift(var)
+        if not self._c:
             return MINUS_INF
-        return max(exp[i] for exp in self.terms)
+        return max((k >> s) & _MAX_EXP for k in self._c)
 
     def _index(self, var: str) -> int:
         try:
@@ -117,24 +238,28 @@ class MultiPoly:
         except ValueError:
             raise KeyError(f"unknown variable {var!r}") from None
 
+    def _shift(self, var: str) -> int:
+        return _W * (len(self.variables) - 1 - self._index(var))
+
     def used_variables(self) -> tuple:
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(self.variables[i])
-        return tuple(v for v in self.variables if v in used)
+        used = 0
+        for k in self._c:
+            used |= k
+        return tuple(v for v, s in zip(self.variables, _shifts(len(self.variables)))
+                     if (used >> s) & _MAX_EXP)
 
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        n = len(self.variables)
+        return [(_unpack(k, n), self._scalar(self._c[k]))
+                for k in sorted(self._c, reverse=True)]
 
     def leading(self) -> tuple:
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self._c:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        k = max(self._c)
+        return _unpack(k, len(self.variables)), self._scalar(self._c[k])
 
     # -- variable alignment --------------------------------------------------
 
@@ -142,24 +267,22 @@ class MultiPoly:
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        pos = {}
-        for i, v in enumerate(self.variables):
-            if v not in variables:
-                if any(exp[i] for exp in self.terms):
-                    raise KeyError(f"variable {v!r} missing from target list")
-                pos[i] = None
-            else:
-                pos[i] = variables.index(v)
-        n = len(variables)
-        terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * n
-            for i, e in enumerate(exp):
-                if e:
-                    new[pos[i]] = e
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + c
-        return MultiPoly(variables, terms)
+        n, m = len(self.variables), len(variables)
+        used = self.used_variables()
+        moves = []  # (old field offset, new field offset)
+        for v, s in zip(self.variables, _shifts(n)):
+            if v in variables:
+                moves.append((s, _shifts(m)[variables.index(v)]))
+            elif v in used:
+                raise KeyError(f"variable {v!r} missing from target list")
+        top, new_top = _W * n, _W * m
+        c = {}
+        for k, v in self._c.items():
+            key = (k >> top) << new_top
+            for s, t in moves:
+                key |= ((k >> s) & _MAX_EXP) << t
+            c[key] = v
+        return _new(variables, c, self._d)
 
     @staticmethod
     def _align(p: "MultiPoly", q: "MultiPoly"):
@@ -185,15 +308,24 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         p, q = MultiPoly._align(self, other)
-        terms = dict(p.terms)
-        for exp, c in q.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return MultiPoly(p.variables, terms)
+        if p._d is None or q._d is None:
+            c = dict(p._scalars())
+            for k, v in q._scalars().items():
+                c[k] = c.get(k, 0) + v
+            return _from_scalars(p.variables, c)
+        dp, dq = p._d, q._d
+        g = gcd(dp, dq)
+        sp, sq = dq // g, dp // g
+        c = dict(p._c) if sp == 1 else {k: v * sp for k, v in p._c.items()}
+        get = c.get
+        for k, v in q._c.items():
+            c[k] = get(k, 0) + (v if sq == 1 else v * sq)
+        return _rational(p.variables, c, dp * sp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _new(self.variables, {k: -v for k, v in self._c.items()}, self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -204,22 +336,60 @@ class MultiPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, a: ScalarLike) -> "MultiPoly":
+        if is_zero(a):
+            return MultiPoly.zero(self.variables)
+        if self._d is None or isinstance(a, QuadExt):
+            return _from_scalars(self.variables,
+                                 {k: v * a for k, v in self._scalars().items()})
+        num, den = a.numerator, a.denominator
+        g = gcd(num, self._d)
+        num, d = num // g, self._d // g
+        g = gcd(den, *self._c.values())
+        c = {k: v // g * num for k, v in self._c.items()}
+        return _new(self.variables, c, d * den // g)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
-            if is_zero(other):
-                return MultiPoly.zero(self.variables)
-            return MultiPoly(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
+            return self._scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         p, q = MultiPoly._align(self, other)
-        terms = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return MultiPoly(p.variables, terms)
+        pc, qc = p._c, q._c
+        if not pc or not qc:
+            return MultiPoly.zero(p.variables)
+        _check_sum(p.variables, pc, qc)
+        if p._d is None or q._d is None:
+            c = {}
+            qs = q._scalars()
+            for k1, v1 in p._scalars().items():
+                for k2, v2 in qs.items():
+                    k = k1 + k2
+                    c[k] = c.get(k, 0) + v1 * v2
+            return _from_scalars(p.variables, c)
+        # content(p*q) = content(p)*content(q), so cancelling each content
+        # against the other denominator leaves the product canonical
+        dp, dq = p._d, q._d
+        if dq != 1:
+            g = gcd(dq, *pc.values())
+            if g != 1:
+                pc = {k: v // g for k, v in pc.items()}
+                dq //= g
+        if dp != 1:
+            g = gcd(dp, *qc.values())
+            if g != 1:
+                qc = {k: v // g for k, v in qc.items()}
+                dp //= g
+        c = {}
+        get = c.get
+        qitems = list(qc.items())
+        for k1, v1 in pc.items():
+            for k2, v2 in qitems:
+                k = k1 + k2
+                c[k] = get(k, 0) + v1 * v2
+        if 0 in c.values():
+            c = {k: v for k, v in c.items() if v}
+        return _new(p.variables, c, dp * dq)
 
     __rmul__ = __mul__
 
@@ -249,49 +419,62 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         p, q = MultiPoly._align(self, other)
-        return p.terms == q.terms
+        if p._d is not None and q._d is not None:
+            return p._d == q._d and p._c == q._c
+        return p._scalars() == q._scalars()
 
     def __hash__(self):
         used = self.used_variables()
         p = self.with_variables(used)
-        return hash((used, frozenset(p.terms.items())))
+        return hash((used, frozenset(p._scalars().items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._c)
 
     # -- calculus & substitution ----------------------------------------------
 
     def diff(self, var: str) -> "MultiPoly":
-        i = self._index(var)
-        terms = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new = exp[:i] + (e - 1,) + exp[i + 1:]
-            terms[new] = terms.get(new, 0) + c * e
-        return MultiPoly(self.variables, terms)
+        s = self._shift(var)
+        step = (1 << s) + (1 << (_W * len(self.variables)))
+        c = {k - step: v * e for k, v in self._c.items() if (e := (k >> s) & _MAX_EXP)}
+        return self._part(c)
 
     def evaluate(self, bindings: Mapping[str, ScalarLike]) -> "MultiPoly":
         """Partial scalar substitution; unbound variables stay symbolic."""
         for v in bindings:
             if v not in self.variables:
                 raise KeyError(f"unknown variable {v!r}")
-        idx = {self._index(v): val for v, val in bindings.items()}
-        terms = {}
-        for exp, c in self.terms.items():
-            coeff = c
-            new = list(exp)
-            for i, val in idx.items():
-                e = exp[i]
-                if e:
-                    if isinstance(val, int):
-                        val = Fraction(val)
-                    coeff = coeff * val**e
-                new[i] = 0
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + coeff
-        return MultiPoly(self.variables, terms)
+        top = _W * len(self.variables)
+        fields = [(self._shift(v), Fraction(val) if isinstance(val, int) else val)
+                  for v, val in bindings.items()]
+        if self._d is None or any(isinstance(val, QuadExt) for _, val in fields):
+            c = {}
+            for k, coeff in self._scalars().items():
+                for s, val in fields:
+                    e = (k >> s) & _MAX_EXP
+                    if e:
+                        coeff = coeff * val**e
+                        k -= (e << s) + (e << top)
+                c[k] = c.get(k, 0) + coeff
+            return _from_scalars(self.variables, c)
+        # val = a/b at exponent e contributes a^e * b^(M - e) over b^M, M the
+        # variable's top exponent here
+        d = self._d
+        tables = []
+        for s, val in fields:
+            a, b = val.numerator, val.denominator
+            top_e = max(((k >> s) & _MAX_EXP for k in self._c), default=0)
+            tables.append((s, [a**e * b ** (top_e - e) for e in range(top_e + 1)]))
+            d *= b**top_e
+        c = {}
+        get = c.get
+        for k, v in self._c.items():
+            for s, table in tables:
+                e = (k >> s) & _MAX_EXP
+                v *= table[e]
+                k -= (e << s) + (e << top)
+            c[k] = get(k, 0) + v
+        return _rational(self.variables, c, d)
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables (exact composition)."""
@@ -317,12 +500,9 @@ class MultiPoly:
                             p = p * subs[v]
                             cache[max(cache) + 1] = p
                     term = term * cache[e]
-                else:
-                    term = term * MultiPoly(
-                        all_vars,
-                        {tuple(e if j == all_vars.index(v) else 0
-                               for j in range(len(all_vars))): Fraction(1)},
-                    )
+                else:  # v**e, whose key is e times the key of v
+                    x = MultiPoly.var(v, all_vars)
+                    term = term * _new(x.variables, {k * e: 1 for k in x._c}, 1)
             result = result + term
         return result
 
@@ -351,29 +531,35 @@ class MultiPoly:
         Each coefficient keeps this polynomial's variable tuple, with the
         exponents of `names` set to zero.  `from_collected` is the inverse.
         """
-        idx = tuple(self._index(v) for v in names)
+        shifts = [self._shift(v) for v in names]
+        top = _W * len(self.variables)
+        steps = [(s, (1 << s) + (1 << top)) for s in set(shifts)]
         groups: dict = {}
-        for exp, c in self.terms.items():
-            rest = list(exp)
-            for i in idx:
-                rest[i] = 0
-            groups.setdefault(tuple([exp[i] for i in idx]), {})[tuple(rest)] = c
-        return {k: MultiPoly(self.variables, t) for k, t in groups.items()}
+        for k, v in self._c.items():
+            rest = k
+            for s, step in steps:
+                rest -= ((k >> s) & _MAX_EXP) * step
+            exps = tuple([(k >> s) & _MAX_EXP for s in shifts])
+            groups.setdefault(exps, {})[rest] = v
+        return {e: self._part(c) for e, c in groups.items()}
+
+    def _names_degree(self, names: Iterable[str]):
+        """Total degree of a key in the named variables."""
+        shifts = [self._shift(v) for v in names]
+        return lambda k: sum([(k >> s) & _MAX_EXP for s in shifts])
 
     def graded(self, names: Iterable[str]) -> dict:
         """{total degree in names: the part of p of that degree}."""
-        idx = tuple(self._index(v) for v in names)
+        degree = self._names_degree(names)
         groups: dict = {}
-        for exp, c in self.terms.items():
-            groups.setdefault(sum([exp[i] for i in idx]), {})[exp] = c
-        return {d: MultiPoly(self.variables, t) for d, t in groups.items()}
+        for k, v in self._c.items():
+            groups.setdefault(degree(k), {})[k] = v
+        return {d: self._part(c) for d, c in groups.items()}
 
     def truncated(self, names: Iterable[str], order: int) -> "MultiPoly":
         """The terms of total degree <= order in names."""
-        idx = tuple(self._index(v) for v in names)
-        return MultiPoly(self.variables, {
-            e: c for e, c in self.terms.items() if sum([e[i] for i in idx]) <= order
-        })
+        degree = self._names_degree(names)
+        return self._part({k: v for k, v in self._c.items() if degree(k) <= order})
 
     @classmethod
     def from_collected(cls, names: Iterable[str], groups: Mapping,
@@ -385,21 +571,35 @@ class MultiPoly:
         """
         names = tuple(names)
         variables = names if variables is None else tuple(variables)
-        idx = tuple(cls.zero(variables)._index(v) for v in names)
-        unit = (0,) * len(variables)
+        n = len(variables)
+        unit = _new(variables, {}, 1)
+        idx = [unit._index(v) for v in names]
+        parts = []  # (key offset, coefficient polynomial)
+        for exps, coeff in groups.items():
+            exp = [0] * n
+            for i, e in zip(idx, exps):
+                exp[i] += e
+            off = _pack(exp, n)
+            if not isinstance(coeff, MultiPoly):
+                coeff = MultiPoly.const(coeff, variables)
+            coeff = coeff.with_variables(variables)
+            _check_sum(variables, (off,), coeff._c)
+            parts.append((off, coeff))
+        rational = all(c._d is not None for _, c in parts)
+        den = lcm(*[c._d for _, c in parts]) if rational else None
         terms: dict = {}
-        for key, coeff in groups.items():
-            if isinstance(coeff, MultiPoly):
-                items = coeff.with_variables(variables).terms.items()
+        for off, coeff in parts:
+            if rational:
+                scale = den // coeff._d
+                c = {k: v * scale for k, v in coeff._c.items()}
             else:
-                items = ((unit, coeff),)
-            for exp, c in items:
-                new = list(exp)
-                for i, e in zip(idx, key):
-                    new[i] += e
-                new = tuple(new)
-                terms[new] = terms[new] + c if new in terms else c
-        return cls(variables, terms)
+                c = coeff._scalars()
+            for k, v in c.items():
+                k += off
+                terms[k] = terms[k] + v if k in terms else v
+        if rational:
+            return _rational(variables, terms, den)
+        return _from_scalars(variables, terms)
 
     # -- exact division -----------------------------------------------------
 
@@ -412,25 +612,45 @@ class MultiPoly:
         p, q = MultiPoly._align(self, q)
         if q.is_constant():
             return p / q.constant_value()
-        qexp, qc = q.leading()
+        qlead = max(q._c)
+        fields = [(s, (qlead >> s) & _MAX_EXP) for s in _shifts(len(p.variables))]
+        rational = p._d is not None and q._d is not None
+        if rational:
+            # (cp/dp) P / ((cq/dq) Q) with P, Q primitive: Gauss's lemma makes
+            # P / Q an integer polynomial whenever it exists
+            cp, cq = gcd(*p._c.values()), gcd(*q._c.values())
+            rem = {k: v // cp for k, v in p._c.items()} if cp else {}
+            qitems = [(k, v // cq) for k, v in q._c.items()]
+            lc = q._c[qlead] // cq
+        else:
+            rem = dict(p._scalars())
+            qitems = list(q._scalars().items())
+            lc_inv = inverse(q._scalars()[qlead])
         quotient = {}
-        rem = dict(p.terms)
-        qc_inv = inverse(qc)
         while rem:
-            exp = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(exp, qexp))
-            if any(e < 0 for e in diff):
+            k = max(rem)
+            if any(((k >> s) & _MAX_EXP) < e for s, e in fields):
                 return None
-            c = rem[exp] * qc_inv
+            diff = k - qlead
+            if rational:
+                c, r = divmod(rem[k], lc)
+                if r:
+                    return None
+            else:
+                c = rem[k] * lc_inv
             quotient[diff] = c
-            for e2, c2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(diff, e2))
+            for k2, c2 in qitems:
+                key = diff + k2
                 new = rem.get(key, 0) - c * c2
                 if is_zero(new):
                     rem.pop(key, None)
                 else:
                     rem[key] = new
-        return MultiPoly(p.variables, quotient)
+        if not rational:
+            return _from_scalars(p.variables, quotient)
+        scale = cp * q._d
+        return _rational(p.variables, {k: v * scale for k, v in quotient.items()},
+                         cq * p._d)
 
     # -- printing -------------------------------------------------------------
 

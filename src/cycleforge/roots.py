@@ -23,9 +23,9 @@ def poly_to_coeffs(p: MultiPoly, var: Optional[str] = None) -> list:
     used = p.used_variables()
     if len(used) > 1:
         raise ValueError(f"{p} is not univariate")
-    if var is None:
-        var = used[0] if used else (p.variables[0] if p.variables else "x")
-    coeffs = [c.constant_value() for c in p.coeffs_in(var)]
+    if not used:  # a constant has degree <= 0 in any variable
+        return strip([p.constant_value()])
+    coeffs = [c.constant_value() for c in p.coeffs_in(var or used[0])]
     return strip(coeffs)
 
 

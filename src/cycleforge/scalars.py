@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm  # integer helpers of poly's shared-denominator form
 from typing import Union
 
 Rational = Fraction

@@ -86,6 +86,8 @@ TMAX = ["--tmax", "1"]
     (["center-certify", "--family", "P4", "--condition", '{"zz": 1}'], "zz"),
     (["center-certify", "--family", "P4", "--condition", '{"a11": null}'],
      "--condition"),
+    (SIM + START + ["--tmax", "1e9"], "--tmax"),
+    (SIM + START + ["--tmax", f"{cli.MAX_TMAX * 1.001!r}"], "--tmax"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)

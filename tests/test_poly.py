@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from cycleforge.poly import MultiPoly, PolyParseError, format_poly, parse_poly
+from cycleforge.scalars import QuadExt
 
 import pytest
 
@@ -63,6 +64,18 @@ def test_exact_division_round_trip(p, q):
         return
     quotient = prod.exact_div(q)
     assert quotient is not None and quotient == p
+
+
+@pytest.mark.parametrize("num, den, quotient", [
+    ("x + 1", "2*x + 1", None),  # exponents divide, the coefficient does not
+    ("x*y + 1", "x", None),
+    ("x^2 - 1", "2*x + 2", "x/2 - 1/2"),
+    ("3*x + 3", "2*x + 2", "3/2"),
+    ("(x + sqrt(6))*(x - y)", "x + sqrt(6)", "x - y"),
+])
+def test_exact_division_cases(num, den, quotient):
+    out = parse_poly(num, VARS).exact_div(parse_poly(den, VARS))
+    assert out == (None if quotient is None else parse_poly(quotient, VARS))
 
 
 @given(polys(), polys())
@@ -247,3 +260,134 @@ def test_power_is_repeated_product(p, n):
         expected = expected * p
     assert p**n == expected
     assert p**0 == 1
+
+
+# -- packed kernel against sympy ----------------------------------------------
+
+POOL = ("x", "y", "a", "b", "c", "d", "e", "f")
+
+# numerators up to 60 bits over mixed denominators
+rationals = st.builds(Fraction, st.integers(-(2**60), 2**60), st.integers(1, 2**30))
+
+
+@st.composite
+def kernel_polys(draw, variables=None, quad=None):
+    """A polynomial in 1-8 variables; some coefficients may lie in Q(sqrt 6)."""
+    if variables is None:
+        variables = tuple(draw(st.permutations(POOL))[:draw(st.integers(1, 8))])
+    if quad is None:
+        quad = draw(st.booleans())
+    scalar = rationals
+    if quad:
+        surds = st.builds(QuadExt, rationals, rationals, st.just(6))
+        scalar = st.one_of(rationals, surds)
+    exps = st.tuples(*[st.integers(0, 3)] * len(variables))
+    terms = draw(st.dictionaries(exps, scalar.filter(lambda c: c != 0), max_size=5))
+    return MultiPoly(variables, terms)
+
+
+def _sym(sympy, p):
+    def scalar(c):
+        if isinstance(c, QuadExt):
+            return scalar(c.a) + scalar(c.b) * sympy.sqrt(c.d)
+        return sympy.Rational(c.numerator, c.denominator)
+
+    syms = [sympy.Symbol(v) for v in p.variables]
+    return sympy.Add(*[scalar(c) * sympy.Mul(*[s**e for s, e in zip(syms, exp)])
+                       for exp, c in p.terms.items()])
+
+
+def _same(sympy, ours, theirs):
+    return sympy.expand(_sym(sympy, ours) - theirs) == 0
+
+
+ORACLE = settings(max_examples=40, deadline=None)  # sympy is slow to import
+
+
+@ORACLE
+@given(kernel_polys(), kernel_polys())
+def test_ring_operations_match_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    P, Q = _sym(sympy, p), _sym(sympy, q)
+    assert _same(sympy, p * q, sympy.expand(P * Q))
+    assert _same(sympy, p + q, P + Q)
+    assert _same(sympy, p - q, P - Q)
+    assert _same(sympy, -p, -P)
+    assert _same(sympy, p * Fraction(3, 2**40), P * sympy.Rational(3, 2**40))
+
+
+@ORACLE
+@given(kernel_polys(), st.data())
+def test_diff_and_evaluate_match_sympy(p, data):
+    sympy = pytest.importorskip("sympy")
+    P = _sym(sympy, p)
+    for v in p.variables:
+        assert _same(sympy, p.diff(v), sympy.diff(P, sympy.Symbol(v)))
+    names = data.draw(st.sets(st.sampled_from(p.variables)))
+    values = {v: data.draw(rationals) for v in names}
+    out = p.evaluate(values)
+    assert out.variables == p.variables
+    subs = {sympy.Symbol(v): sympy.Rational(c.numerator, c.denominator)
+            for v, c in values.items()}
+    assert _same(sympy, out, P.subs(subs))
+
+
+@ORACLE
+@given(kernel_polys(), kernel_polys(), kernel_polys())
+def test_exact_div_matches_sympy(p, q, r):
+    sympy = pytest.importorskip("sympy")
+    if q.is_zero():
+        return
+    assert (p * q).exact_div(q) == p
+    # p*q + r is a multiple of q exactly when q divides r
+    s = p * q + r
+    gens = sorted(set(s.variables) | set(q.variables))
+    quotient, rest = sympy.div(_sym(sympy, s), _sym(sympy, q),
+                               *map(sympy.Symbol, gens), extension=True)
+    out = s.exact_div(q)
+    if sympy.expand(rest) == 0:
+        assert out is not None and _same(sympy, out, quotient)
+    else:
+        assert out is None
+
+
+@ORACLE
+@given(kernel_polys(), st.data())
+def test_collect_round_trip_and_term_order_match_sympy(p, data):
+    sympy = pytest.importorskip("sympy")
+    count = data.draw(st.integers(1, len(p.variables)))
+    names = tuple(data.draw(st.permutations(p.variables))[:count])
+    groups = p.collect(names)
+    assert MultiPoly.from_collected(names, groups, p.variables) == p
+    gens = [sympy.Symbol(v) for v in names]
+    theirs = sympy.Poly(_sym(sympy, p), *gens, extension=True).as_dict() if p else {}
+    assert set(groups) == set(theirs)
+    for key, c in groups.items():
+        assert _same(sympy, c, theirs[key])
+    ours = [exp for exp, _ in p.sorted_terms()]
+    assert ours == sorted(ours, key=lambda e: (sum(e), e), reverse=True)
+    if p:
+        gens = [sympy.Symbol(v) for v in p.variables]
+        grlex = sympy.Poly(_sym(sympy, p), *gens, extension=True).terms(order="grlex")
+        assert ours == [m for m, _ in grlex]
+
+
+def test_exponent_overflow_raises_and_never_carries():
+    top = 2**16 - 1
+    vs = ("x", "y")
+    y = MultiPoly.var("y", vs)
+    high = MultiPoly(vs, {(0, top - 1): 1}) * y
+    assert high.degree_in("x") == 0 and high.degree_in("y") == top
+    with pytest.raises(OverflowError):
+        high * y
+    with pytest.raises(OverflowError):
+        y ** (top + 1)
+    with pytest.raises(OverflowError):
+        MultiPoly(vs, {(top + 1, 0): 1})
+    with pytest.raises(OverflowError):
+        MultiPoly.from_collected(("y",), {(top,): y}, vs)
+    with pytest.raises(OverflowError):
+        parse_poly(f"x*y^{top + 1}")
+    # each exponent fits although the total degree exceeds one field
+    big = MultiPoly(vs, {(top, 0): 1}) * MultiPoly(vs, {(0, top): 1})
+    assert big.leading() == ((top, top), 1) and big.degree() == 2 * top

@@ -146,3 +146,55 @@ def test_cascade_on_simple_system():
 def test_cascade_needs_two_equations():
     with pytest.raises(ValueError):
         cascade([parse_poly("x")], ["x"])
+
+
+
+# -- oracles against sympy ------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def _in_x(draw, top=3):
+    """A polynomial in (x, y, a) of degree 1..top in x, rational coefficients."""
+    exps = st.tuples(st.integers(0, top), st.integers(0, 2), st.integers(0, 1))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=4))
+    terms[(draw(st.integers(1, top)), 0, 0)] = draw(coeffs)
+    return MultiPoly(("x", "y", "a"), terms)
+
+
+def _to_sympy(sympy, p):
+    syms = [sympy.Symbol(v) for v in p.variables]
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s**e for s, e in zip(syms, exp)])
+                       for exp, c in p.terms.items()])
+
+
+@settings(max_examples=40, deadline=None)  # the first example pays the sympy import
+@given(_in_x(), _in_x())
+def test_resultant_matches_sympy_sylvester_determinant(f, g):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester as sympy_sylvester
+
+    # sympy's resultant() has the wrong sign for some degree pairs (1
+    # against 3), so the oracle is the determinant of its Sylvester matrix
+    x = sympy.Symbol("x")
+    matrix = sympy_sylvester(_to_sympy(sympy, f), _to_sympy(sympy, g), x)
+    dm = DomainMatrix.from_Matrix(matrix)
+    theirs = dm.domain.to_sympy(dm.det())
+    ours = resultant(f, g, "x")
+    assert "x" not in ours.variables
+    assert sympy.expand(_to_sympy(sympy, ours) - theirs) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_in_x(top=2), _in_x(top=2), _in_x(top=2))
+def test_multivariate_gcd_matches_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    p, q = a * c, b * c  # a planted common factor
+    ours = _to_sympy(sympy, multivariate_gcd(p, q))
+    theirs = sympy.gcd(_to_sympy(sympy, p), _to_sympy(sympy, q))
+    ratio = sympy.cancel(ours / theirs)
+    assert ratio != 0 and ratio.free_symbols == set()

@@ -172,3 +172,21 @@ def test_gcd_univariate_against_euclid_oracle():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         real_roots([Fraction(0)])
+
+
+@pytest.mark.parametrize("text, variables", [
+    ("7", None), ("7", ("x",)), ("-3/4", ("x", "y")), ("0*x + 5", ("x",)),
+])
+def test_constant_has_no_roots(text, variables):
+    p = parse_poly(text, variables)
+    coeffs = poly_to_coeffs(p)
+    assert coeffs == [p.constant_value()]
+    assert real_roots(coeffs) == []
+    assert isolate_real_roots(p) == []
+    assert isolate_real_roots(p, "x") == []
+
+
+def test_zero_polynomial_has_no_isolation():
+    assert poly_to_coeffs(parse_poly("0")) == []
+    with pytest.raises(ValueError):
+        isolate_real_roots(parse_poly("0", ("x",)))

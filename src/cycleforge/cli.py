@@ -25,6 +25,11 @@ from .resultants import cascade
 # P9 orbit costs about 5 ms of RK45 work, so 1e4 stays near a minute.
 MAX_TMAX = 1.0e4
 
+# Largest `eliminate --bound` (the library default): the cascade tries
+# (2 b + 1)^(k + 1) linear forms in k parameters, and at b = 8
+# `eliminate --family P4 --N 5` runs for more than 90 s.
+MAX_BOUND = 4
+
 FAMILIES = {
     "P4": fields.p4_family,
     "P5": fields.p5_family,
@@ -166,6 +171,8 @@ def _cmd_center_certify(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
+    if not 1 <= args.bound <= MAX_BOUND:
+        raise InputError(f"--bound must be between 1 and {MAX_BOUND}, got {args.bound}")
     fam = _load_family(args)
     order = [s.strip() for s in args.order.split(",")]
     _check_parameters("--order", order, fam)

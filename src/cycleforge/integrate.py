@@ -20,6 +20,12 @@ from typing import Mapping, Optional, Sequence
 from .fields import VectorField
 from .poly import MultiPoly
 
+# A failed return-map solve whose last state has |X.e_phi| / |X| below this
+# stalled where the orbit turns radial: dr/dphi grows like 1/(X.e_phi)
+# there, so RK45 shrinks its step until it gives up before the no_return
+# event can fire.
+STALL_ANGULAR_SPEED = 1e-6
+
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call."""
@@ -112,7 +118,8 @@ def return_map(
     - "ok": with "displacement" and "time"; a displacement within the
       tolerance atol + rtol r0 has no resolved sign and is reported as 0.0;
     - "left_annulus": r left [r0/10, 10 r0] at the row's "time";
-    - "no_return": the angular speed X.e_phi fell to zero;
+    - "no_return": the angular speed X.e_phi fell to zero, or the solver
+      failed where |X.e_phi| / |X| < STALL_ANGULAR_SPEED;
     - "tangent_start": the flow runs along the ray at the start;
     - "integration_failed": the solver's message is the "diagnostic".
     """
@@ -162,7 +169,11 @@ def return_map(
         sol = solve_ivp(flow, (0.0, 2 * math.pi), (r0, 0.0), method="RK45",
                         rtol=rtol, atol=atol, events=(left_annulus, no_return))
         if sol.status == -1:
-            row = {"status": "integration_failed", "diagnostic": sol.message}
+            radial, angular = polar(sol.t[-1], sol.y[0][-1])
+            if abs(angular) < STALL_ANGULAR_SPEED * math.hypot(radial, angular):
+                row = {"status": "no_return"}
+            else:
+                row = {"status": "integration_failed", "diagnostic": sol.message}
         elif sol.t_events[0].size:
             row = {"status": "left_annulus", "time": float(sol.y_events[0][0][1])}
         elif sol.t_events[1].size:

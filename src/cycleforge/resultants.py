@@ -1,5 +1,6 @@
-"""Sylvester resultants, elimination cascades, multivariate GCD and bounded
-linear-factor extraction.
+"""Resultants, first subresultants and multivariate GCDs from one
+subresultant PRS, elimination cascades and bounded linear-factor
+extraction.
 
 The cascade mirrors the iterated-resultant method for polynomial systems:
 eliminate one variable at a time, split off factors shared by the stage's
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .linalg import ExactMatrix, determinant
 from .poly import MINUS_INF, MultiPoly, format_poly
 from .scalars import QuadExt, inverse, is_zero
 
@@ -54,36 +54,12 @@ def unit_multiple_of(p: MultiPoly, q: MultiPoly) -> bool:
     return normalize_unit(p) == normalize_unit(q)
 
 
-# -- Sylvester matrix and resultants --------------------------------------------
+# -- subresultant PRS and resultants -------------------------------------------
 
 
-def sylvester(f: MultiPoly, g: MultiPoly, var: str) -> ExactMatrix:
-    """The (l+m) x (l+m) Sylvester matrix of f and g in `var`.
-
-    Coefficients are polynomials in the remaining variables.  Degenerate
-    degrees (l = 0 or m = 0) give a 0 x 0 matrix; the resultant convention
-    for those cases lives in resultant().
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("sylvester matrix of a zero polynomial")
-    l = f.degree_in(var)
-    m = g.degree_in(var)
-    l = 0 if l is MINUS_INF else l
-    m = 0 if m is MINUS_INF else m
-    if l == 0 or m == 0:
-        return ExactMatrix([[]] * 0)
-    fc = f.coeffs_in(var)  # ascending
-    gc = g.coeffs_in(var)
-    n = l + m
-    zero = MultiPoly.zero(f.variables)
-    rows = [[zero] * n for _ in range(n)]
-    for j in range(m):  # f-coefficient columns
-        for i in range(l + 1):
-            rows[j + i][j] = fc[l - i]
-    for j in range(l):  # g-coefficient columns
-        for i in range(m + 1):
-            rows[j + i][m + j] = gc[m - i]
-    return ExactMatrix(rows)
+def _deg(p: MultiPoly, var: str) -> int:
+    d = p.degree_in(var)
+    return 0 if d is MINUS_INF else d
 
 
 def _drop_var(p: MultiPoly, var: str) -> MultiPoly:
@@ -111,28 +87,63 @@ def substitute_ratio(h: MultiPoly, var: str, num: MultiPoly,
     return acc
 
 
+def _prem(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+    """The pseudo-remainder lc(q)^(deg p - deg q + 1) * p mod q in var."""
+    dq = q.degree_in(var)
+    lcq = q.coeff_of(var, dq)
+    r = p
+    unused = p.degree_in(var) - dq + 1  # factors lc(q) not yet applied
+    while True:
+        dr = r.degree_in(var)
+        if dr is MINUS_INF or dr < dq:
+            return r * lcq ** unused if unused else r
+        lcr = r.coeff_of(var, dr)
+        r = lcq * r - lcr * MultiPoly.var(var, r.variables) ** (dr - dq) * q
+        unused -= 1
+
+
+def _subresultants(f: MultiPoly, g: MultiPoly, var: str) -> list:
+    """The subresultant PRS of f and g in var, deg f >= deg g, as [(F_i, s_i)].
+
+    It starts f, g and ends at a member of degree 0 or at the last member
+    before a zero pseudo-remainder.  Each F_(i+1) with i >= 2 equals the
+    subresultant S_(d-1), d = deg F_i, and s_i (i >= 2; s_1 = 1) is the
+    principal subresultant coefficient of degree e = deg F_i, so that
+    S_e = s_i * F_i / lc(F_i) (Collins 1967; Brown & Traub 1971).  The
+    divisions by beta are exact, so no member needs a content gcd.
+    """
+    d0, d = _deg(f, var), _deg(g, var)
+    seq = [(f, 1), (g, g.coeff_of(var, d) ** (d0 - d))]
+    beta = (-1) ** (d0 - d + 1)
+    while d > 0:
+        (p, _), (q, s) = seq[-2:]
+        r = _prem(p, q, var).exact_div(beta)
+        if r.is_zero():
+            break
+        e = _deg(r, var)
+        beta = -q.coeff_of(var, d) * (-s) ** (d - e)
+        seq.append((r, (r.coeff_of(var, e) ** (d - e)).exact_div(s ** (d - e - 1))))
+        d = e
+    return seq
+
+
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Res(f, g, var): a polynomial in the remaining variables."""
+    """Res(f, g, var): a polynomial in the remaining variables.
+
+    It is s_0, the last principal subresultant coefficient, or zero when the
+    subresultant PRS ends at a member that still involves var.
+    """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of a zero polynomial")
     f, g = MultiPoly._align(f, g)
-    l = f.degree_in(var)
-    m = g.degree_in(var)
-    l = 0 if l is MINUS_INF else l
-    m = 0 if m is MINUS_INF else m
-    if l == 0 and m == 0:
-        return MultiPoly.const(1, tuple(v for v in f.variables if v != var))
-    if l == 0:
-        return _drop_var(f.coeff_of(var, 0) ** m, var)
-    if m == 0:
-        return _drop_var(g.coeff_of(var, 0) ** l, var)
-    if l == 1 or m == 1:
-        # Res(c0 x + c1, g) = c0^m g(-c1/c0); swapping the order costs (-1)^(l m)
-        lin, other = (f, g) if l == 1 else (g, f)
-        sign = -1 if l != 1 and (l * m) % 2 else 1
-        acc = substitute_ratio(other, var, lin.coeff_of(var, 0), lin.coeff_of(var, 1))
-        return _drop_var(acc, var) * sign
-    return _drop_var(determinant(sylvester(f, g, var)), var)
+    l, m = _deg(f, var), _deg(g, var)
+    sign = 1
+    if l < m:  # Res(g, f) = (-1)^(l m) Res(f, g)
+        f, g, sign = g, f, (-1) ** (l * m)
+    last, s = _subresultants(f, g, var)[-1]
+    if _deg(last, var) > 0:
+        return _drop_var(MultiPoly.zero(f.variables), var)
+    return _drop_var(s * sign, var)
 
 
 def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
@@ -144,34 +155,24 @@ def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
     own coefficients.
     """
     f, g = MultiPoly._align(f, g)
-    m = f.degree_in(var)
-    n = g.degree_in(var)
-    m = 0 if m is MINUS_INF else m
-    n = 0 if n is MINUS_INF else n
+    m, n = _deg(f, var), _deg(g, var)
     if m == 0 or n == 0:
         raise ValueError("both polynomials must involve the variable")
-    if m == 1:
-        fc = f.coeffs_in(var)
-        return _drop_var(fc[1], var), _drop_var(fc[0], var)
-    if n == 1:
-        gc = g.coeffs_in(var)
-        return _drop_var(gc[1], var), _drop_var(gc[0], var)
-    fdesc = list(reversed(f.coeffs_in(var)))
-    gdesc = list(reversed(g.coeffs_in(var)))
-    width = m + n - 1  # exponents m+n-2 .. 0, descending
-    zero = MultiPoly.zero(f.variables)
-    rows = []
-    for i in range(n - 1):
-        rows.append([zero] * i + fdesc + [zero] * (width - i - m - 1))
-    for i in range(m - 1):
-        rows.append([zero] * i + gdesc + [zero] * (width - i - n - 1))
-    prefix = list(range(m + n - 3))
-
-    def minor(extra: int):
-        cols = prefix + [extra]
-        return _drop_var(determinant(ExactMatrix([[r[c] for c in cols] for r in rows])), var)
-
-    return minor(m + n - 3), minor(m + n - 2)
+    if m == 1 or n == 1:
+        lin = f if m == 1 else g
+        return _drop_var(lin.coeff_of(var, 1), var), _drop_var(lin.coeff_of(var, 0), var)
+    sign = 1
+    if m < n:  # S_1(g, f) = (-1)^((m-1)(n-1)) S_1(f, g)
+        f, g, sign = g, f, (-1) ** ((m - 1) * (n - 1))
+    sub = MultiPoly.zero(f.variables)  # S_1 = 0 unless a member says otherwise
+    seq = _subresultants(f, g, var)
+    for (p, _), (q, s) in zip(seq[1:], seq[2:]):
+        if _deg(p, var) == 2:  # S_1 = S_(2-1) is the next member
+            sub = q
+        elif _deg(q, var) == 1:  # S_1 is the last subresultant of q's block
+            sub = (s * q).exact_div(q.coeff_of(var, 1))
+    sub = sub * sign
+    return _drop_var(sub.coeff_of(var, 1), var), _drop_var(sub.coeff_of(var, 0), var)
 
 
 @dataclass
@@ -190,8 +191,7 @@ def specialize_check(f: MultiPoly, g: MultiPoly, var: str, point: dict) -> Speci
     nonzero polynomial of some degree p <= m while f keeps full degree.
     """
     f, g = MultiPoly._align(f, g)
-    m = g.degree_in(var)
-    m = 0 if m is MINUS_INF else m
+    m = _deg(g, var)
     R = resultant(f, g, var)
     R_at = R.eval_scalar(point)
     f0 = f.evaluate(point)
@@ -202,8 +202,7 @@ def specialize_check(f: MultiPoly, g: MultiPoly, var: str, point: dict) -> Speci
     if f0.degree_in(var) != lf:
         return SpecializeReport(status="degree_dropped", identity_holds=None,
                                 degree_drop=0)
-    p = g0.degree_in(var)
-    p = 0 if p is MINUS_INF else p
+    p = _deg(g0, var)
     R0 = resultant(f0, g0, var).constant_value()
     c0 = f.coeff_of(var, lf).eval_scalar(point)
     holds = R_at == c0 ** (m - p) * R0
@@ -211,20 +210,7 @@ def specialize_check(f: MultiPoly, g: MultiPoly, var: str, point: dict) -> Speci
     return SpecializeReport(status=status, identity_holds=holds, degree_drop=m - p)
 
 
-# -- multivariate gcd (primitive PRS) --------------------------------------------
-
-
-def _prem(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Pseudo-remainder of p by q with respect to var."""
-    dq = q.degree_in(var)
-    lcq = q.coeff_of(var, dq)
-    r = p
-    while True:
-        dr = r.degree_in(var)
-        if dr is MINUS_INF or dr < dq:
-            return r
-        lcr = r.coeff_of(var, dr)
-        r = lcq * r - lcr * MultiPoly.var(var, r.variables) ** (dr - dq) * q
+# -- multivariate gcd ------------------------------------------------------------
 
 
 def _content(p: MultiPoly, var: str) -> MultiPoly:
@@ -238,7 +224,12 @@ def _content(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def multivariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD up to a unit, by recursive primitive pseudo-remainder sequences."""
+    """GCD up to a unit.
+
+    In the first variable v that p or q involves, it is the gcd of the
+    contents in v times the primitive part of the last member of the
+    subresultant PRS of the primitive parts.
+    """
     p, q = MultiPoly._align(p, q)
     if p.is_zero():
         return normalize_unit(q)
@@ -246,31 +237,15 @@ def multivariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return normalize_unit(p)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(1, p.variables)
-    used = [v for v in p.variables if v in set(p.used_variables()) | set(q.used_variables())]
-    var = next((v for v in used
-                if p.degree_in(v) not in (MINUS_INF, 0) or q.degree_in(v) not in (MINUS_INF, 0)), None)
+    var = next((v for v in p.variables if _deg(p, v) or _deg(q, v)), None)
     if var is None:
         return MultiPoly.const(1, p.variables)
     cp, cq = _content(p, var), _content(q, var)
-    pp = p.exact_div(cp)
-    qq = q.exact_div(cq)
-    if pp.degree_in(var) < qq.degree_in(var):
+    pp, qq = p.exact_div(cp), q.exact_div(cq)
+    if _deg(pp, var) < _deg(qq, var):
         pp, qq = qq, pp
-    while True:
-        dq = qq.degree_in(var)
-        if dq is MINUS_INF:
-            g = pp
-            break
-        if dq == 0:
-            g = MultiPoly.const(1, p.variables)
-            break
-        r = _prem(pp, qq, var)
-        if r.is_zero():
-            g = qq
-            break
-        r = r.exact_div(_content(r, var))
-        pp, qq = qq, r
-    g = g.exact_div(_content(g, var)) if not g.is_constant() else g
+    g = _subresultants(pp, qq, var)[-1][0]
+    g = g.exact_div(_content(g, var)) if _deg(g, var) else MultiPoly.const(1, p.variables)
     cg = multivariate_gcd(cp, cq)
     return normalize_unit(cg * g)
 

@@ -88,6 +88,9 @@ TMAX = ["--tmax", "1"]
      "--condition"),
     (SIM + START + ["--tmax", "1e9"], "--tmax"),
     (SIM + START + ["--tmax", f"{cli.MAX_TMAX * 1.001!r}"], "--tmax"),
+    (["eliminate", "--family", "P4", "--order", "a11", "--bound", "0"], "--bound"),
+    (["eliminate", "--family", "P4", "--order", "a11",
+      "--bound", str(cli.MAX_BOUND + 1)], "--bound"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)

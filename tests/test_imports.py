@@ -125,3 +125,24 @@ def test_simulate_loads_scipy_and_writes_the_solver_csv(tmp_path):
     rows = "".join(f"{float(t)!r},{float(x)!r},{float(y)!r}\n"
                    for t, x, y in zip(sol.t, sol.y[0], sol.y[1]))
     assert dst.read_bytes() == ("t,x,y\n" + rows).encode()
+
+
+def test_resultants_need_no_sylvester_matrix():
+    """Resultants, first subresultants and gcds come from one subresultant
+    PRS, so resultants.py uses no linear algebra and has no Sylvester matrix."""
+    path = SRC / "cycleforge" / "resultants.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name == "sylvester":
+                offenders.append(f"resultants.py:{node.lineno}: defines sylvester")
+            continue
+        else:
+            continue
+        if any(name.split(".")[-1] == "linalg" for name in names):
+            offenders.append(f"resultants.py:{node.lineno}: imports linalg")
+    assert offenders == []

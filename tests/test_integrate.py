@@ -90,6 +90,16 @@ def test_sweep_rows_equal_single_radius_calls():
         assert integrate.return_map(fam, binding, (0.25, 0.0), radii=(r,), **kw) == [row]
 
 
+@pytest.mark.parametrize("direction", [(1, 0), (0, 1), (0, -1), (-1, 0)])
+def test_return_map_reports_no_return_where_the_orbit_turns_radial(direction):
+    # from r0 = 0.6 every turn meets a point where X.e_phi = 0; RK45 stalls
+    # before it there in three of the four directions
+    fld = VectorField(parse_poly("x/5 - y", ("x", "y")),
+                      parse_poly("x + y/5 - x^2", ("x", "y")))
+    rows = integrate.return_map(fld, None, (0, 0), direction=direction, radii=(0.6,))
+    assert rows == [{"radius": 0.6, "status": "no_return"}]
+
+
 def test_return_map_rejects_bad_direction_and_radius():
     with pytest.raises(ValueError, match="direction"):
         integrate.return_map(_center_field(), None, (0, 0), direction=(0, 0))

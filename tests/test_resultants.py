@@ -1,12 +1,14 @@
 """Resultants, shared-factor extraction, and the elimination cascade."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from cycleforge.poly import MultiPoly, parse_poly, format_poly
 from cycleforge.resultants import (
+    _prem,
     cascade,
     extract_linear_factors,
     first_subresultant,
@@ -16,7 +18,6 @@ from cycleforge.resultants import (
     resultant,
     specialize_check,
     substitute_ratio,
-    sylvester,
     unit_multiple_of,
 )
 
@@ -64,13 +65,6 @@ def test_resultant_bivariate_projects_intersections():
     # intersections satisfy y^2 + y - 1 = 0
     target = parse_poly("y^2 + y - 1", r.variables)
     assert r.exact_div(target) is not None
-
-
-def test_sylvester_shape():
-    f = parse_poly("x^3 + 2*x + 1")
-    g = parse_poly("x^2 - 5")
-    S = sylvester(f, g, "x")
-    assert S.rows == S.cols == 5
 
 
 def test_specialize_check_identity():
@@ -155,12 +149,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
-def _in_x(draw, top=3):
-    """A polynomial in (x, y, a) of degree 1..top in x, rational coefficients."""
+def _in_x(draw, top=3, low=1):
+    """A polynomial in (x, y, a) of degree low..top in x, rational coefficients.
+
+    At most five terms, so x-degree gaps (an abnormal PRS) are common.
+    """
     exps = st.tuples(st.integers(0, top), st.integers(0, 2), st.integers(0, 1))
     coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
     terms = draw(st.dictionaries(exps, coeffs, max_size=4))
-    terms[(draw(st.integers(1, top)), 0, 0)] = draw(coeffs)
+    terms[(draw(st.integers(low, top)), 0, 0)] = draw(coeffs)
     return MultiPoly(("x", "y", "a"), terms)
 
 
@@ -171,26 +168,30 @@ def _to_sympy(sympy, p):
                        for exp, c in p.terms.items()])
 
 
+def _sympy_det(sympy, rows):
+    from sympy.polys.matrices import DomainMatrix
+
+    dm = DomainMatrix.from_Matrix(sympy.Matrix(rows))
+    return dm.domain.to_sympy(dm.det())
+
+
 @settings(max_examples=40, deadline=None)  # the first example pays the sympy import
 @given(_in_x(), _in_x())
 def test_resultant_matches_sympy_sylvester_determinant(f, g):
     sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
     from sympy.polys.subresultants_qq_zz import sylvester as sympy_sylvester
 
     # sympy's resultant() has the wrong sign for some degree pairs (1
     # against 3), so the oracle is the determinant of its Sylvester matrix
     x = sympy.Symbol("x")
-    matrix = sympy_sylvester(_to_sympy(sympy, f), _to_sympy(sympy, g), x)
-    dm = DomainMatrix.from_Matrix(matrix)
-    theirs = dm.domain.to_sympy(dm.det())
+    theirs = _sympy_det(sympy, sympy_sylvester(_to_sympy(sympy, f), _to_sympy(sympy, g), x))
     ours = resultant(f, g, "x")
     assert "x" not in ours.variables
     assert sympy.expand(_to_sympy(sympy, ours) - theirs) == 0
 
 
 @settings(max_examples=40, deadline=None)
-@given(_in_x(top=2), _in_x(top=2), _in_x(top=2))
+@given(_in_x(), _in_x(), _in_x())
 def test_multivariate_gcd_matches_sympy(a, b, c):
     sympy = pytest.importorskip("sympy")
     p, q = a * c, b * c  # a planted common factor
@@ -198,3 +199,66 @@ def test_multivariate_gcd_matches_sympy(a, b, c):
     theirs = sympy.gcd(_to_sympy(sympy, p), _to_sympy(sympy, q))
     ratio = sympy.cancel(ours / theirs)
     assert ratio != 0 and ratio.free_symbols == set()
+
+
+def _first_subresultant_by_minors(sympy, f, g):
+    """(s1, s0) by the determinant definition of S_1(f, g) in x.
+
+    With m = deg f and n = deg g: the rows are x^(n-2) f, ..., f, then
+    x^(m-2) g, ..., g; the columns are the coefficients of x^(m+n-2) down
+    to x^2, then of x^1 for s1 or of x^0 for s0.
+    """
+    x = sympy.Symbol("x")
+    fd = sympy.Poly(_to_sympy(sympy, f), x).all_coeffs()
+    gd = sympy.Poly(_to_sympy(sympy, g), x).all_coeffs()
+    m, n = len(fd) - 1, len(gd) - 1
+    width = m + n - 1  # exponents m+n-2 .. 0
+    rows = ([[0] * i + fd + [0] * (width - i - m - 1) for i in range(n - 1)]
+            + [[0] * i + gd + [0] * (width - i - n - 1) for i in range(m - 1)])
+    return tuple(_sympy_det(sympy, [r[:m + n - 3] + [r[col]] for r in rows])
+                 for col in (m + n - 3, m + n - 2))
+
+
+@st.composite
+def _subresultant_pairs(draw):
+    """(f, g) of x-degree 2..5; half of them share a planted factor, which
+    ends the PRS early."""
+    if draw(st.booleans()):
+        return draw(_in_x(top=5, low=2)), draw(_in_x(top=5, low=2))
+    c = draw(_in_x(top=2))
+    return draw(_in_x(top=3)) * c, draw(_in_x(top=3)) * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subresultant_pairs())
+def test_first_subresultant_matches_sympy_minors(pair):
+    sympy = pytest.importorskip("sympy")
+    f, g = pair
+    for a, b in ((f, g), (g, f)):
+        ours = tuple(_to_sympy(sympy, s) for s in first_subresultant(a, b, "x"))
+        theirs = _first_subresultant_by_minors(sympy, a, b)
+        assert all(sympy.expand(o - t) == 0 for o, t in zip(ours, theirs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_in_x(top=5), _in_x(top=5))
+def test_prem_matches_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    if p.degree_in("x") < q.degree_in("x"):
+        p, q = q, p
+    x = sympy.Symbol("x")
+    theirs = sympy.prem(_to_sympy(sympy, p), _to_sympy(sympy, q), x)
+    assert sympy.expand(_to_sympy(sympy, _prem(p, q, "x")) - theirs) == 0
+
+
+def test_gcd_of_cubics_with_a_planted_cubic_factor():
+    # a primitive PRS, which takes a content gcd in (y, a) at every step,
+    # needs about a minute here
+    vs = ("x", "y", "a")
+    f = parse_poly("-1/2*x^2*y*a-4/5*x*y^2*a+4*x^2-5/3*y^2+2/3", vs)
+    g = parse_poly("4/3*x^3*a-14/3*x*y^2*a+9*x^3-3*x*y*a-19/2*y", vs)
+    h = parse_poly("5/6*x^2*y^2*a+13/4*x*y^2-17/6*x^2+5/3*x-17/3*a", vs)
+    start = time.perf_counter()
+    common = multivariate_gcd(f * h, g * h)
+    assert time.perf_counter() - start < 5.0
+    assert format_poly(common) == "10*x^2*y^2*a+39*x*y^2-34*x^2+20*x-68*a"

@@ -18,8 +18,6 @@ from .fields import VectorField
 from .linalg import ExactMatrix, solve_linear_exact
 from .poly import MultiPoly, format_poly, parse_poly
 
-REVERSIBILITY_LINES = ("x=0", "y=0", "y=x", "y=-x")
-
 
 def _swap_sub(field: VectorField, sx, sy):
     """Substitute (x, y) -> (sx, sy) in both components."""

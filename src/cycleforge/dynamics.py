@@ -9,7 +9,7 @@ hinges on) are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -48,14 +48,15 @@ def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
 class CertifiedPoint:
     """One isolated common zero of (f, g), with exact sign queries.
 
-    Three shapes: both coordinates rational; `base` coordinate an isolated
-    algebraic root with the other coordinate a rational function of it
-    (from the first subresultant); or `base` rational with the other
-    coordinate an isolated root of a univariate defining polynomial.
+    Two shapes: both coordinates rational; or the `base` coordinate an
+    isolated real root of a univariate defining polynomial with the other
+    coordinate -num/den evaluated there.  num and den are the first
+    subresultant's coefficients, or the constants -value and 1 when the
+    other coordinate is a rational value.
     """
 
     def __init__(self, kind: str, **data):
-        self.kind = kind  # "rational" | "func" | "mixed"
+        self.kind = kind  # "rational" | "func"
         self.data = data
 
     # -- constructors -------------------------------------------------------
@@ -74,14 +75,6 @@ class CertifiedPoint:
             num=num, den=den,
         )
 
-    @staticmethod
-    def mixed(base_var: str, base_val: Fraction, other_root: IsolatingInterval,
-              other_defining: MultiPoly) -> "CertifiedPoint":
-        return CertifiedPoint(
-            "mixed", base_var=base_var, base_val=base_val,
-            other_root=other_root, other_defining=other_defining,
-        )
-
     # -- queries -------------------------------------------------------------
 
     def sign_of(self, p: MultiPoly) -> int:
@@ -89,11 +82,6 @@ class CertifiedPoint:
         d = self.data
         if self.kind == "rational":
             return scalar_sign(p.eval_scalar({"x": d["x"], "y": d["y"]}))
-        if self.kind == "mixed":
-            u = p.evaluate({d["base_var"]: d["base_val"]})
-            other = "y" if d["base_var"] == "x" else "x"
-            u = u.with_variables((other,))
-            return sign_at_root(u, d["other_defining"], d["other_root"], other)
         base = d["base_var"]
         other = "y" if base == "x" else "x"
         m = p.degree_in(other)
@@ -108,16 +96,6 @@ class CertifiedPoint:
         d = self.data
         if self.kind == "rational":
             return RatInterval.point(d["x"]), RatInterval.point(d["y"])
-        if self.kind == "mixed":
-            iv = d["other_root"]
-            sf = poly_to_coeffs(d["other_defining"])
-            sf = squarefree_part(sf)
-            while iv.width() > width:
-                iv = refine(sf, iv, iv.width() / 4)
-            d["other_root"] = iv
-            box = RatInterval(iv.lo, iv.hi)
-            pt = RatInterval.point(d["base_val"])
-            return (pt, box) if d["base_var"] == "x" else (box, pt)
         iv = d["root"]
         sf = squarefree_part(poly_to_coeffs(d["defining"]))
         while True:
@@ -198,8 +176,8 @@ def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
     exactly.  Rational y-roots (including every case where a leading
     coefficient in x vanishes: substitution needs no degree assumption)
     go through a direct univariate gcd; irrational ones use the first
-    subresultant, falling back to eliminating y instead when its leading
-    term degenerates at the root.
+    subresultant, falling back to eliminating y instead when it vanishes
+    at the root.
     """
     f, g = MultiPoly._align(f, g)
     f = f.with_variables(("x", "y"))
@@ -223,15 +201,15 @@ def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
 
 
 def _eliminate_once(f: MultiPoly, g: MultiPoly, var: str):
-    """Solve by eliminating `var`; None when an irrational base root makes
-    the subresultant degenerate (caller retries the other order)."""
+    """Solve by eliminating `var`; None when the first subresultant
+    vanishes at an irrational base root (caller retries the other order).
+
+    A component free of `var` needs no special case: the resultant is then
+    a power of it, with the same roots, and the first subresultant is the
+    other component's coefficients when that one is linear in `var`, else
+    zero.
+    """
     other = "y" if var == "x" else "x"
-    fd = f.degree_in(var)
-    gd = g.degree_in(var)
-    if not isinstance(fd, int) or fd == 0 or not isinstance(gd, int) or gd == 0:
-        # one component is univariate in `other`: solve it, substitute
-        uni, rest = (f, g) if (not isinstance(fd, int) or fd == 0) else (g, f)
-        return _univariate_split(uni, rest, other, var)
     R = resultant(f, g, var)
     if R.is_zero():
         raise ValueError("resultant vanished identically despite trivial gcd")
@@ -286,49 +264,10 @@ def _pair_at_rational(fu: MultiPoly, gu: MultiPoly, var: str,
             x, y = (r, val) if var == "x" else (val, r)
             out.append(CertifiedPoint.rational(x, y))
         else:
-            out.append(CertifiedPoint.mixed(other, val, r, defining))
+            out.append(CertifiedPoint.on_curve(
+                var, r, defining, MultiPoly.const(-val, (var,)),
+                MultiPoly.const(1, (var,))))
     return out
-
-
-def _univariate_split(uni: MultiPoly, rest: MultiPoly, uni_var: str,
-                      var: str) -> list:
-    """Solve when one component only involves `uni_var`."""
-    coeffs = poly_to_coeffs(uni.with_variables((uni_var,)), uni_var)
-    if len(coeffs) <= 1:
-        return []
-    points = []
-    for r in real_roots(coeffs):
-        if isinstance(r, Fraction):
-            fu = rest.evaluate({uni_var: r}).with_variables((var,))
-            gc = poly_to_coeffs(fu, var)
-            if not gc:
-                raise ValueError("non-isolated zero set on a coordinate line")
-            for r2 in real_roots(gc):
-                if isinstance(r2, Fraction):
-                    x, y = (r2, r) if var == "x" else (r, r2)
-                    points.append(CertifiedPoint.rational(x, y))
-                else:
-                    points.append(CertifiedPoint.mixed(uni_var, r, r2, fu))
-        else:
-            # irrational root of the univariate component: the other
-            # coordinate comes from the subresultant in `var`
-            rd = rest.degree_in(var)
-            if not isinstance(rd, int) or rd == 0:
-                continue
-            if rd == 1:
-                cs = rest.coeffs_in(var)
-                s1 = cs[1].with_variables((uni_var,))
-                s0 = cs[0].with_variables((uni_var,))
-            else:
-                raise ArithmeticError(
-                    "several values share an irrational base coordinate; "
-                    "not supported"
-                )
-            dy = uni.with_variables((uni_var,))
-            if sign_at_root(s1, dy, r, uni_var) == 0:
-                raise ArithmeticError("degenerate substitution")
-            points.append(CertifiedPoint.on_curve(uni_var, r, dy, s0, s1))
-    return points
 
 
 def _jacobian_invariants(P: MultiPoly, Q: MultiPoly) -> tuple:

@@ -152,15 +152,19 @@ def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
     At any specialization of the other variables where the gcd of f and g
     in `var` has degree exactly one (and the leading coefficients do not
     both vanish), the common root is -s0/s1.  Degree-1 inputs return their
-    own coefficients.
+    own coefficients.  When one input is free of var and the other has
+    degree two or more, no degree-one subresultant exists and both are zero.
     """
     f, g = MultiPoly._align(f, g)
     m, n = _deg(f, var), _deg(g, var)
-    if m == 0 or n == 0:
-        raise ValueError("both polynomials must involve the variable")
+    if m == 0 and n == 0:
+        raise ValueError("at least one polynomial must involve the variable")
     if m == 1 or n == 1:
         lin = f if m == 1 else g
         return _drop_var(lin.coeff_of(var, 1), var), _drop_var(lin.coeff_of(var, 0), var)
+    if m == 0 or n == 0:
+        zero = _drop_var(MultiPoly.zero(f.variables), var)
+        return zero, zero
     sign = 1
     if m < n:  # S_1(g, f) = (-1)^((m-1)(n-1)) S_1(f, g)
         f, g, sign = g, f, (-1) ** ((m - 1) * (n - 1))
@@ -214,7 +218,9 @@ def specialize_check(f: MultiPoly, g: MultiPoly, var: str, point: dict) -> Speci
 
 
 def _content(p: MultiPoly, var: str) -> MultiPoly:
-    coeffs = [c for c in p.coeffs_in(var) if not c.is_zero()]
+    # lowest degree first: a constant coefficient ends the loop at once
+    coeffs = sorted((c for c in p.coeffs_in(var) if not c.is_zero()),
+                    key=MultiPoly.degree)
     g = coeffs[0]
     for c in coeffs[1:]:
         g = multivariate_gcd(g, c)

@@ -439,32 +439,38 @@ class RatInterval:
         return (self.lo + self.hi) / 2
 
 
+# bits of sqrt(d) in the enclosure of a Q(sqrt d) coefficient
+ENCLOSURE_BITS = 30
+# interval refinements (each quarters the width) before sign_at_root gives up
+SIGN_REFINE_STEPS = 200
+
+
 def _as_interval(x) -> RatInterval:
     if isinstance(x, RatInterval):
         return x
     return RatInterval.point(x)
 
 
-def sqrt_enclosure(d: int, prec: int = 30) -> RatInterval:
-    """Rational enclosure of sqrt(d) with width <= 2**-prec."""
-    scale = 1 << prec
+def sqrt_enclosure(d: int) -> RatInterval:
+    """Rational enclosure of sqrt(d) with width <= 2**-ENCLOSURE_BITS."""
+    scale = 1 << ENCLOSURE_BITS
     s = math.isqrt(d * scale * scale)
     return RatInterval(Fraction(s, scale), Fraction(s + 1, scale))
 
 
-def scalar_enclosure(c, prec: int = 30) -> RatInterval:
+def scalar_enclosure(c) -> RatInterval:
     if isinstance(c, QuadExt):
         if c.b == 0:
             return RatInterval.point(c.a)
-        return RatInterval.point(c.a) + RatInterval.point(c.b) * sqrt_enclosure(c.d, prec)
+        return RatInterval.point(c.a) + RatInterval.point(c.b) * sqrt_enclosure(c.d)
     return RatInterval.point(c)
 
 
-def poly_box_eval(p: MultiPoly, box: dict, prec: int = 30) -> RatInterval:
+def poly_box_eval(p: MultiPoly, box: dict) -> RatInterval:
     """Interval evaluation of p over a box {var: RatInterval}."""
     total = RatInterval.point(0)
     for exp, c in p.collect(p.variables).items():
-        term = scalar_enclosure(c.constant_value(), prec)
+        term = scalar_enclosure(c.constant_value())
         for v, e in zip(p.variables, exp):
             if e:
                 term = term * (_as_interval(box[v]) ** e)
@@ -473,7 +479,7 @@ def poly_box_eval(p: MultiPoly, box: dict, prec: int = 30) -> RatInterval:
 
 
 def sign_at_root(f: MultiPoly, defining: MultiPoly, root: RootLocation,
-                 var: str, max_iter: int = 200) -> int:
+                 var: str) -> int:
     """Exact sign of f at a root of `defining` given exactly or by interval."""
     fc = poly_to_coeffs(f, var) if not f.is_constant() else None
     if isinstance(root, Fraction):
@@ -489,7 +495,7 @@ def sign_at_root(f: MultiPoly, defining: MultiPoly, root: RootLocation,
                 return 0
     sf = squarefree_part(dc)
     iv = root
-    for _ in range(max_iter):
+    for _ in range(SIGN_REFINE_STEPS):
         enc = poly_box_eval(f, {var: RatInterval(iv.lo, iv.hi)})
         s = enc.sign()
         if s is not None:

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycleforge import dynamics
 from cycleforge.fields import VectorField
-from cycleforge.poly import parse_poly
+from cycleforge.poly import MultiPoly, parse_poly
 
 
 def _pair(fs, gs):
@@ -50,6 +51,59 @@ def test_mixed_rational_irrational_point():
     assert len(rep.points) == 2
     ys = {p.point.midpoint()[1] for p in rep.points}
     assert ys == {Fraction(1)}
+
+
+def test_component_free_of_x_with_irrational_roots():
+    # y = +-sqrt(2); x^2*y + x - 1 has two real roots only at y = sqrt(2)
+    f, g = _pair("y^2 - 2", "x^2*y + x - 1")
+    rep = dynamics.pair_report(f, g)
+    assert not rep.degenerate_family and len(rep.points) == 2
+    for p in rep.points:
+        assert p.point.sign_of(f) == p.point.sign_of(g) == 0
+        assert p.point.sign_of(parse_poly("y", ("x", "y"))) == 1
+
+
+def test_component_free_of_x_without_real_points():
+    # y^2 = 2 turns the second component into 2*x^2 + x + 2 > 0
+    f, g = _pair("2 - y^2", "2*y^2 + 2*x^2 + x - 2")
+    rep = dynamics.pair_report(f, g)
+    assert not rep.degenerate_family and rep.points == []
+
+
+def test_irrational_grid_is_refused():
+    # every zero has two irrational coordinates that are not rational
+    # functions of each other: no elimination order can back-substitute
+    f, g = _pair("y^2 - 3", "x^2 - 2")
+    with pytest.raises(ArithmeticError):
+        dynamics.pair_report(f, g)
+
+
+_MON = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@st.composite
+def _small_pair(draw):
+    """Quadratic pair with small integer coefficients; either component may
+    be restricted to monomials free of x or free of y."""
+    def comp():
+        free = draw(st.sampled_from([None, 0, 1]))  # index of the absent variable
+        mons = [m for m in _MON if free is None or m[free] == 0]
+        terms = draw(st.dictionaries(st.sampled_from(mons),
+                                     st.integers(-3, 3).filter(bool), min_size=1))
+        return MultiPoly(("x", "y"), terms)
+    return comp(), comp()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_pair())
+def test_every_reported_point_is_a_common_zero(pair):
+    f, g = pair
+    try:
+        rep = dynamics.pair_report(f, g)
+    except ArithmeticError:  # documented refusal: irrational grid points
+        return
+    for p in rep.points:
+        assert p.point.sign_of(f) == p.point.sign_of(g) == 0
 
 
 def test_degenerate_shared_factor_detected():

@@ -126,6 +126,20 @@ def test_first_subresultant_with_parameter():
     assert (s0 + t * s1).is_zero()
 
 
+def test_first_subresultant_with_an_operand_free_of_the_variable():
+    c = parse_poly("y^2 + 1", ("x", "y"))  # degree 0 in x
+    lin = parse_poly("y*x - 2", ("x", "y"))
+    quad = parse_poly("x^2 + y", ("x", "y"))
+    for f, g in ((c, lin), (lin, c)):
+        s1, s0 = first_subresultant(f, g, "x")
+        assert s1 == parse_poly("y", ("y",)) and s0 == parse_poly("-2", ("y",))
+    for f, g in ((c, quad), (quad, c)):
+        s1, s0 = first_subresultant(f, g, "x")
+        assert s1.is_zero() and s0.is_zero()
+    with pytest.raises(ValueError):
+        first_subresultant(c, parse_poly("y - 3", ("x", "y")), "x")
+
+
 def test_cascade_on_simple_system():
     # x + y - 3 = 0, x - y - 1 = 0 -> x = 2, y = 1
     f = parse_poly("x + y - 3")

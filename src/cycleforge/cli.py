@@ -385,7 +385,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, PolyParseError, ValueError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 2
+        return 3 if isinstance(e, dynamics.DegenerateElimination) else 2
     except Exception as e:
         message = " ".join(str(e).split())
         sys.stderr.write(f"internal error: {type(e).__name__}: {message}\n")

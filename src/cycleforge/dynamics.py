@@ -38,6 +38,10 @@ from .roots import (
 from .scalars import scalar_sign
 
 
+class DegenerateElimination(ArithmeticError):
+    """Valid input whose zeros no elimination order can back-substitute."""
+
+
 def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
     if b.contains_zero():
         raise ZeroDivisionError("interval denominator straddles zero")
@@ -194,7 +198,7 @@ def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
     if points is None:
         points = _eliminate_once(f, g, "y")
         if points is None:
-            raise ArithmeticError(
+            raise DegenerateElimination(
                 "back-substitution degenerated in both elimination orders"
             )
     return points

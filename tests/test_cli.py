@@ -233,6 +233,16 @@ def test_berlinskii_raw_pair(tmp_path, capsys):
     assert data["berlinskii"]["configuration"] == "convex_alternating"
 
 
+def test_irrational_grid_exits_3(tmp_path, capsys):
+    # valid input whose zeros (+-sqrt2, +-sqrt3) no elimination order can
+    # back-substitute: a limit of the method, not an input error
+    src = tmp_path / "grid.json"
+    src.write_text(json.dumps({"f": "y^2 - 3", "g": "x^2 - 2"}))
+    code, out, err = run(capsys, "berlinskii", "--file", str(src), "--raw-pair")
+    assert code == 3 and out == ""
+    assert err == "error: back-substitution degenerated in both elimination orders\n"
+
+
 def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "lyap", "--family", "P5", "--N", "2")
     _, out2, _ = run(capsys, "lyap", "--family", "P5", "--N", "2")

@@ -1,7 +1,7 @@
-"""numpy and scipy stay out of every process that does no integration.
+"""numpy and scipy stay out of every process.
 
-Importing scipy.integrate takes most of a second, so only the numeric
-functions of `integrate` import numpy and scipy, and only when they run.
+The program imports neither: the integrator runs on Python floats, so
+symbolic commands, trajectories and return maps load no numeric module.
 """
 
 import ast
@@ -9,13 +9,7 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
-from scipy.integrate import solve_ivp
-
-from cycleforge import fields, integrate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 NUMERIC = ("numpy", "scipy")
@@ -33,8 +27,21 @@ SYMBOLIC = [
 SIMULATE = ["simulate", "--family", "P9", "--bind", "mu=0,alpha=1/100,lam=0",
             "--start", "0.3,0", "--tmax", "2.0", "--samples", "7"]
 
-# Runs CLI commands in a fresh interpreter and prints, as one JSON line,
-# the exit codes and the numeric modules loaded before and after them.
+# a return-map sweep and a cycle bracket around the right P9 focus
+RETURN_MAP = """
+from fractions import Fraction
+from cycleforge import fields, integrate
+fam = fields.p9_family()
+b = {"mu": Fraction(0), "alpha": Fraction(1, 1000), "lam": Fraction(-8, 1000)}
+kw = {"rtol": 1e-9, "atol": 1e-11}
+rows = integrate.return_map(fam, b, (0.25, 0.0), radii=(0.045, 0.06), **kw)
+assert [r["status"] for r in rows] == ["ok", "ok"], rows
+integrate.refine_cycle_bracket(fam, b, (0.25, 0.0), 0.045, 0.06, width=1e-2, **kw)
+"""
+
+# Runs CLI commands, then the Python code in argv[2], in a fresh interpreter
+# and prints, as one JSON line, the exit codes and the numeric modules
+# loaded before and after them.
 _PROBE = """
 import contextlib, io, json, sys
 from cycleforge import cli
@@ -45,6 +52,7 @@ def numeric():
 before = numeric()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    exec(sys.argv[2])
 print(json.dumps({{"before": before, "after": numeric(), "codes": codes}}))
 """
 
@@ -59,41 +67,25 @@ def _python(code, *args):
         capture_output=True, text=True, env=env, timeout=120, check=True).stdout
 
 
-def _probe(commands):
-    out = _python(_PROBE.format(numeric=NUMERIC), json.dumps(commands))
+def _probe(commands, code=""):
+    out = _python(_PROBE.format(numeric=NUMERIC), json.dumps(commands), code)
     return json.loads(out.splitlines()[-1])
 
 
-def _numeric_imports(path):
-    """(line, inside a function) for each numpy or scipy import in path."""
-    tree = ast.parse(path.read_text(), str(path))
-    in_function = {
-        id(node)
-        for fn in ast.walk(tree)
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(fn)
-    }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(name.split(".")[0] in NUMERIC for name in names):
-            yield node.lineno, id(node) in in_function
-
-
-def test_numeric_imports_only_inside_integrate_functions():
-    paths = sorted((SRC / "cycleforge").glob("*.py"))
+def test_no_source_file_imports_numpy_or_scipy():
+    paths = sorted(SRC.rglob("*.py"))
     assert paths
     offenders = []
     for path in paths:
-        for line, in_function in _numeric_imports(path):
-            if path.name != "integrate.py":
-                offenders.append(f"{path.name}:{line}: numeric import")
-            elif not in_function:
-                offenders.append(f"{path.name}:{line}: module-level import")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in NUMERIC for name in names):
+                offenders.append(f"{path.name}:{node.lineno}: numeric import")
     assert offenders == []
 
 
@@ -112,19 +104,15 @@ def test_trajectory_type_hints_resolve_without_numpy():
     assert out.splitlines() == ["['diagnostic', 'status', 't', 'xy']", "[]"]
 
 
-def test_simulate_loads_scipy_and_writes_the_solver_csv(tmp_path):
+def test_numeric_layer_loads_no_numeric_module(tmp_path):
+    # simulate, return_map and refine_cycle_bracket all integrate
     dst = tmp_path / "orbit.csv"
-    seen = _probe([SIMULATE + ["--out", str(dst)]])
+    seen = _probe([SIMULATE + ["--out", str(dst)]], RETURN_MAP)
     assert seen["codes"] == [0]
-    assert seen["before"] == [] and "scipy.integrate" in seen["after"]
-    # the CSV of scipy's RK45 called directly, as before the lazy import
-    binding = {"mu": Fraction(0), "alpha": Fraction(1, 100), "lam": Fraction(0)}
-    rhs, _ = integrate._rhs(fields.p9_family(), binding)
-    sol = solve_ivp(rhs, (0.0, 2.0), [0.3, 0.0], method="RK45",
-                    rtol=1e-10, atol=1e-12, t_eval=np.linspace(0.0, 2.0, 7))
-    rows = "".join(f"{float(t)!r},{float(x)!r},{float(y)!r}\n"
-                   for t, x, y in zip(sol.t, sol.y[0], sol.y[1]))
-    assert dst.read_bytes() == ("t,x,y\n" + rows).encode()
+    assert seen["before"] == [] and seen["after"] == []
+    lines = dst.read_text().splitlines()
+    assert lines[0] == "t,x,y" and len(lines) == 8
+    assert [float(v) for v in lines[1].split(",")] == [0.0, 0.3, 0.0]
 
 
 def test_resultants_need_no_sylvester_matrix():

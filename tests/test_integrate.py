@@ -124,3 +124,104 @@ def test_return_map_rejects_degenerate_focus():
                       parse_poly("-y", ("x", "y")))
     with pytest.raises(ValueError):
         integrate.return_map(fld, None, (0, 0), radii=(1e-2,))
+
+
+# -- oracle: scipy's RK45 on the same calls, in tests only ---------------------
+
+_P9_SIMULATE = {"mu": Fraction(0), "alpha": Fraction(1, 100), "lam": Fraction(0)}
+_P9_CYCLE = {"mu": Fraction(0), "alpha": Fraction(1, 1000), "lam": Fraction(-8, 1000)}
+
+
+def _linear_focus(a, omega):
+    return VectorField(parse_poly(f"-({a}*x - {omega}*y)", ("x", "y")),
+                       parse_poly(f"-({omega}*x + {a}*y)", ("x", "y")))
+
+
+def _stalling_field():
+    return VectorField(parse_poly("x/5 - y", ("x", "y")),
+                       parse_poly("x + y/5 - x^2", ("x", "y")))
+
+
+ORACLE_CASES = {
+    "simulate-7": lambda: integrate.integrate(
+        fields.p9_family(), _P9_SIMULATE, (0.3, 0.0), 2.0, samples=7),
+    "simulate-500": lambda: integrate.integrate(
+        fields.p9_family(), _P9_SIMULATE, (0.3, 0.0), 50.0, samples=500),
+    "p9-radius": lambda: integrate.return_map(
+        fields.p9_family(), _P9_CYCLE, (0.25, 0.0), radii=(0.06,),
+        rtol=1e-9, atol=1e-11),
+    "linear-focus": lambda: integrate.return_map(
+        _linear_focus("1/20", "2"), None, (0, 0), radii=(1e-4,)),
+    "left-annulus": lambda: integrate.return_map(
+        VectorField(parse_poly("y - x", ("x", "y")), parse_poly("-x - y", ("x", "y"))),
+        None, (0, 0), radii=(1e-2,)),
+    **{f"stall-{dx},{dy}": (lambda d=(dx, dy): integrate.return_map(
+        _stalling_field(), None, (0, 0), direction=d, radii=(0.6,)))
+       for dx, dy in [(1, 0), (0, 1), (0, -1), (-1, 0)]},
+}
+
+
+def _terminal(event):
+    def g(t, y):
+        return event(t, y)
+
+    g.terminal = True
+    return g
+
+
+def _assert_close(ours, ref):
+    assert len(ours) == len(ref)
+    for a, b in zip(ours, ref):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (a, b)
+
+
+def _flat(states):
+    return [v for state in states for v in state]
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_solver_replays_scipy_rk45(monkeypatch, case):
+    """Each solve_ivp call gives what scipy's RK45 gives on the same call.
+
+    scipy sums its stages through BLAS, which may fuse multiply-adds, so the
+    values agree up to rounding.  The error estimate cancels to a few digits,
+    so a step can end 1e-10 away from scipy's; the states are compared where
+    the times are the same: at every t_eval sample, and at the end.
+    """
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    calls = []
+    solve = integrate.solve_ivp
+
+    def record(*args, **kw):
+        calls.append((args, kw, solve(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(integrate, "solve_ivp", record)
+    ORACLE_CASES[case]()
+    (args, kw, ours), = calls
+    events = [_terminal(e) for e in kw.pop("events", ())]
+    ref = scipy_integrate.solve_ivp(*args, method="RK45", events=events or None, **kw)
+    assert (ours.status, ours.message) == (ref.status, ref.message)
+    if events:
+        assert [len(te) for te in ours.t_events] == [te.size for te in ref.t_events]
+        _assert_close(_flat(ours.t_events), _flat(ref.t_events))
+    if case.startswith("stall"):
+        # dr/dphi blows up ahead: the solve stops at the same angle, but how
+        # many steps the controller rejects on the way, and r there, turn on
+        # the last bits of its error estimate
+        _assert_close(ours.t[-1:], ref.t[-1:])
+        return
+    assert (ours.nfev, len(ours.t)) == (ref.nfev, len(ref.t))
+    same_times = 0 if kw.get("t_eval") is not None else len(ref.t) - 1
+    _assert_close(ours.t[same_times:], ref.t[same_times:])
+    _assert_close(_flat(ours.y[same_times:]), ref.y.T[same_times:].ravel())
+    if events:
+        _assert_close(_flat(_flat(ours.y_events)), _flat(_flat(ref.y_events)))
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 1000])
+def test_sample_grid_is_numpys_linspace(samples):
+    np = pytest.importorskip("numpy")
+    for tmax in (2.0, 50.0, 0.1, 1e4):
+        grid = integrate._sample_grid(tmax, samples)
+        assert grid == np.linspace(0.0, tmax, samples).tolist()

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over scalars and polynomial entries.
 
 Determinants and ranks share one fraction-free (Bareiss) elimination, so
-polynomial entries never leave the ring.  ``solve_linear_exact`` handles the
-recurrence systems of the Lyapunov solver: a constant scalar matrix with a
-polynomial right-hand side.
+polynomial entries never leave the ring.  ``solve_linear_exact`` solves a
+constant scalar matrix against a scalar or polynomial right-hand side (the
+Darboux cofactor systems of ``centers``).
 """
 
 from __future__ import annotations
@@ -140,24 +140,17 @@ class LinearSolution:
     failing_rows: list = field(default_factory=list)
 
 
-def solve_linear_exact(
-    A: ExactMatrix,
-    b: Sequence[Entry],
-    column_order: Optional[Sequence[int]] = None,
-) -> LinearSolution:
+def solve_linear_exact(A: ExactMatrix, b: Sequence[Entry]) -> LinearSolution:
     """Solve A x = b with constant scalar A and scalar/polynomial b.
 
     Gaussian elimination over the coefficient field; the right-hand side may
-    contain polynomials in parameters.  ``column_order`` fixes the pivot
-    search order (earlier columns are preferred as pivots), which pins which
-    unknowns end up free in underdetermined systems.
+    contain polynomials in parameters.  Columns are searched for pivots left
+    to right, so an unknown is free when its column lies in the span of the
+    columns before it.
     """
     if A.rows != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
     n, m = A.rows, A.cols
-    order = list(column_order) if column_order is not None else list(range(m))
-    if sorted(order) != list(range(m)):
-        raise ValueError("column_order must be a permutation of the columns")
     rows = [[Fraction(x) if isinstance(x, int) else x for x in row]
             for row in A.entries]
     rhs = list(b)
@@ -165,7 +158,7 @@ def solve_linear_exact(
     used_rows: list = []
     row_origin = list(range(n))
     r = 0
-    for col in order:
+    for col in range(m):
         pr = next((i for i in range(r, n) if not _entry_zero(rows[i][col])), None)
         if pr is None:
             continue

@@ -1,20 +1,32 @@
 """Focus quantities of a nondegenerate monodromic singularity.
 
 The solver normalizes the linear part to (-y, x), then builds a formal
-series H = x^2 + y^2 + higher terms so that the derivative of H along the
-field reduces to sum_k L_k x^(2k+2).  The coefficients L_k are polynomials
-in the remaining symbolic parameters; the first nonzero one decides the
-stability of the focus, and all of them vanishing is necessary for a
-center.
+series H = x^2 + y^2 + h_3 + h_4 + ... so that the derivative of H along
+the field reduces to sum_k L_k x^(2k+2).  The coefficients L_k are
+polynomials in the remaining symbolic parameters; the first nonzero one
+decides the stability of the focus, and all of them vanishing is necessary
+for a center.
+
+Each form h_m is kept as {(i, j): coefficient of x^i y^j} only while a
+later degree reads it.  Degree k solves (x d/dy - y d/dx) h_k + P = L x^k,
+P the degree-k part of F H_x + G H_y with F, G the nonlinear terms of the
+field, in two sweeps: with c_i the coefficient of x^i y^(k-i), the equation
+there is (k-i+1) c_(i-1) - (i+1) c_(i+1) + P_i = L [i = k].  The odd c_i
+run forward from c_(-1) = 0, and at even k the last equation gives L; the
+even c_i run back from c_(k+1) = 0, or at even k from the pinned one.
+The top degree k = 2N+2 stores nothing: the circle mean of
+(x d/dy - y d/dx) h is zero, so L_N = sum of (i-1)!! (j-1)!! / (k-1)!! P_ij
+over even i, j, summed straight from the products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import prod
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, solve_linear_exact
 from .poly import MultiPoly, format_poly
 from .scalars import QuadExt, inverse, is_zero, scalar_sign, squarefree_decompose
 
@@ -137,6 +149,25 @@ class LyapunovReport:
         }
 
 
+def _circle_weight(i: int, j: int) -> Fraction:
+    """Circle mean of x^i y^j over that of x^(i+j), i and j even."""
+    return Fraction(prod(range(i - 1, 0, -2)) * prod(range(j - 1, 0, -2)),
+                    prod(range(i + j - 1, 0, -2)))
+
+
+def _sweep(k: int, rhs: dict, pin: str, zero: MultiPoly):
+    """({(i, k-i): c_i}, L or None) solving (x d/dy - y d/dx) h + rhs = L x^k."""
+    P = [rhs.get((i, k - i), zero) for i in range(k + 1)]
+    c: dict = {}  # c_i by x-exponent i; absent means zero
+    low_pin = k % 2 == 0 and pin == "c0k"
+    for i in chain(range(0, k, 2), range(1, k, 2) if low_pin else ()):
+        c[i + 1] = (c.get(i - 1, zero) * (k - i + 1) + P[i]) / (i + 1)
+    for i in () if low_pin else range(k - 1 + k % 2, 0, -2):
+        c[i - 1] = (c.get(i + 1, zero) * (i + 1) - P[i]) / (k - i + 1)
+    L = c[k - 1] + P[k] if k % 2 == 0 else None
+    return {(i, k - i): v for i, v in c.items() if v}, L
+
+
 def lyapunov_quantities(
     p: MultiPoly,
     q: MultiPoly,
@@ -162,86 +193,61 @@ def lyapunov_quantities(
     """
     if pin not in ("c0k", "ck0"):
         raise ValueError("pin must be 'c0k' or 'ck0'")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     p, q = MultiPoly._align(p, q)
     variables = p.variables
     params = tuple(v for v in variables if v not in XY)
-    xv = MultiPoly.var("x", variables)
-    yv = MultiPoly.var("y", variables)
-    F = p + yv
-    G = q - xv
+    ring = params or variables  # where the coefficients of x^i y^j live
+    F = p + MultiPoly.var("y", variables)
+    G = q - MultiPoly.var("x", variables)
     if any(d <= 1 for h in (F, G) for d in h.graded(XY)):
         raise ValueError("linear part is not exactly (-y, x)")
-    if jet is not None:
-        jet_syms, jet_order = jet
 
-        def trunc(r: MultiPoly) -> MultiPoly:
-            return r.truncated(jet_syms, jet_order)
+    def trunc(r: MultiPoly) -> MultiPoly:
+        return r if jet is None else r.truncated(*jet)
 
-    else:
+    Fc, Gc = ({e: c.with_variables(ring) for e, c in trunc(h).collect(XY).items()}
+              for h in (F, G))
+    zero, one = MultiPoly.zero(ring), MultiPoly.const(1, ring)
+    top = max((sum(e) for e in (*Fc, *Gc)), default=2)
+    # x^i y^j of h_(k+1-s) meets F_s and G_s at x^(i+u) y^(j+v), u + v = s - 1
+    # and u, v >= -1, with factor i F_(u+1,v) + j G_(u,v+1) in F*H_x + G*H_y
+    offsets = {s: [((u, s - 1 - u), Fc.get((u + 1, s - 1 - u)), Gc.get((u, s - u)))
+                   for u in range(-1, s + 1)] for s in range(2, top + 1)}
+    series = {2: {(2, 0): one, (0, 2): one}}  # h_m as {(i, j): coefficient}
 
-        def trunc(r: MultiPoly) -> MultiPoly:
-            return r
+    def products(k: int):
+        """(monomial, c, w): the c * w sum to the degree-k part of F*H_x + G*H_y."""
+        for s, offs in offsets.items():
+            for (i, j), c in series.get(k + 1 - s, {}).items():
+                for (u, v), f, g in offs:
+                    w = (f * i if f and i else zero) + (g * j if g and j else zero)
+                    if w:
+                        yield (i + u, j + v), c, w
 
-    Fp = trunc(F).graded(XY)
-    Gp = trunc(G).graded(XY)
+    def rhs(k: int) -> dict:
+        out: dict = {}
+        for mon, c, w in products(k):
+            t = trunc(c * w)
+            out[mon] = out[mon] + t if mon in out else t
+        return out
+
     max_degree = 2 * count + 2
-    # pending[k] = degree-k part (in x, y) of F*H_x + G*H_y accumulated so far
-    pending: dict = {}
-
-    def accumulate(hm: MultiPoly, m: int):
-        hx = hm.diff("x")
-        hy = hm.diff("y")
-        for s, fpart in Fp.items():
-            d = m - 1 + s
-            if d <= max_degree:
-                t = trunc(fpart * hx)
-                pending[d] = pending.get(d, MultiPoly.zero(variables)) + t
-        for s, gpart in Gp.items():
-            d = m - 1 + s
-            if d <= max_degree:
-                t = trunc(gpart * hy)
-                pending[d] = pending.get(d, MultiPoly.zero(variables)) + t
-
-    accumulate(xv * xv + yv * yv, 2)
     quantities: list = []
-    param_zero = MultiPoly.zero(variables)
     for k in range(3, max_degree + 1):
-        mons = [(k - i, i) for i in range(k + 1)]  # (x-exp, y-exp), x first
-        row_of = {mon: r for r, mon in enumerate(mons)}
-        ncols = len(mons) + (1 if k % 2 == 0 else 0)
-        A = [[Fraction(0)] * ncols for _ in mons]
-        # rotation operator: x*d/dy - y*d/dx on each basis monomial
-        for col, (i, j) in enumerate(mons):
-            if i:
-                A[row_of[(i - 1, j + 1)]][col] += -i
-            if j:
-                A[row_of[(i + 1, j - 1)]][col] += j
+        if k < max_degree:
+            series[k], Lk = _sweep(k, rhs(k), pin, zero)
+        else:  # nothing of the top degree is stored
+            Lk = zero
+            for (i, j), c, w in products(k):
+                if i % 2 == 0 and j % 2 == 0:
+                    Lk = Lk + trunc(c * w) * _circle_weight(i, j)
         if k % 2 == 0:
-            A[row_of[(k, 0)]][len(mons)] = Fraction(-1)
-        # degree k is solved here and never read again
-        parts = pending.pop(k, param_zero).collect(XY)
-        b = [-parts.get(mon, param_zero) for mon in mons]
-        order = list(range(ncols))
-        if k % 2 == 0:
-            pin_col = row_of[(0, k)] if pin == "c0k" else row_of[(k, 0)]
-            order.remove(pin_col)
-            order.append(pin_col)
-        sol = solve_linear_exact(ExactMatrix(A), b, column_order=order)
-        if sol.kind == "inconsistent":
-            raise ArithmeticError(f"series solve failed at degree {k}")
-        hk = MultiPoly.from_collected(
-            XY, {mon: sol.solution[col] for col, mon in enumerate(mons)}, variables
-        )
-        if k % 2 == 0:
-            Lk = sol.solution[len(mons)]
-            if not isinstance(Lk, MultiPoly):
-                Lk = MultiPoly.const(Lk, variables)
             if quantity_scale != 1:
                 Lk = Lk * (Fraction(1) / quantity_scale ** (k // 2 - 1))
-            # quantities live in the parameters only; x, y exponents are zero
-            quantities.append(Lk.with_variables(params) if params else Lk)
-        if k < max_degree:
-            accumulate(hk, k)
+            quantities.append(Lk)
+        series.pop(k + 1 - top, None)  # no later degree reads it
     return LyapunovReport(quantities=quantities, pinned=pin, parameters=params)
 
 

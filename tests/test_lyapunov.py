@@ -1,5 +1,7 @@
 """Focus quantities: oracles, pinning independence, and normalization."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from cycleforge.lyapunov import (
     lyapunov_quantities,
     normalize_at,
 )
-from cycleforge.poly import parse_poly
+from cycleforge.poly import MultiPoly, parse_poly
 
 
 def test_reversible_field_has_zero_quantities():
@@ -103,3 +105,103 @@ def test_linear_parts_requires_vanishing_base():
     rep = lyapunov_quantities(fam.P, fam.Q, 1)
     with pytest.raises(ValueError):
         linear_parts_in(rep, ("a11",))  # L1 has a b20*b11 offset
+
+
+def test_negative_count_is_rejected():
+    fam = fields.p4_family()
+    with pytest.raises(ValueError):
+        lyapunov_quantities(fam.P, fam.Q, -1)
+    assert lyapunov_quantities(fam.P, fam.Q, 0).quantities == []
+
+
+@pytest.mark.parametrize("family", [fields.p4_family, fields.p5_family])
+@pytest.mark.parametrize("pin", ["ck0", "c0k"])
+def test_top_degree_matches_interior_path(family, pin):
+    # L_N comes from the circle average when N is the last quantity and
+    # from the rotation sweep when a later one is asked for
+    fam = family()
+    for N in (1, 2, 3):
+        last = lyapunov_quantities(fam.P, fam.Q, N, pin=pin).quantities
+        inner = lyapunov_quantities(fam.P, fam.Q, N + 1, pin=pin).quantities
+        assert last == inner[:N]
+
+
+def test_top_degree_matches_interior_path_in_a_jet():
+    fam = fields.p5_family()
+    jet = (fam.parameters, 1)
+    for N in (1, 2, 3):
+        last = lyapunov_quantities(fam.P, fam.Q, N, jet=jet).quantities
+        inner = lyapunov_quantities(fam.P, fam.Q, N + 1, jet=jet).quantities
+        assert last == inner[:N]
+
+
+def test_top_degree_matches_interior_path_over_quadratic_extension():
+    # det = 3 at the origin: the normalization lives over Q(sqrt(3))
+    vs = ("x", "y", "l1", "l2")
+    p = parse_poly("-y + x^2 - x*y + l1*x*y + l2*y^2", vs)
+    q = parse_poly("3*x + x*y - 2*y^2 + l1*x^2", vs)
+    nf = normalize_at(p, q, (0, 0))
+    assert nf.radicand == 3
+    for N in (1, 2, 3):
+        last, inner = (lyapunov_quantities(nf.p, nf.q, n, pin="c0k",
+                                           quantity_scale=nf.quantity_scale)
+                       for n in (N, N + 1))
+        assert last.quantities == inner.quantities[:N]
+    assert any("sqrt(3)" in L for L in last.to_json()["quantities"])
+
+
+def _sympy_quantities(sympy, f, g, count):
+    """L_1..L_count by undetermined coefficients, pinning the x^k
+    coefficient at even k and normalizing dH/dt = sum L_n x^(2n+2)."""
+    x, y, L = sympy.symbols("x y L")
+    P, Q = sympy.Poly(-y + f, x, y), sympy.Poly(x + g, x, y)
+    H = sympy.Poly(x**2 + y**2, x, y)
+    out = []
+    for k in range(3, 2 * count + 3):
+        even = k % 2 == 0
+        cs = sympy.symbols(f"c0:{k + 1}")  # c_i multiplies x^i y^(k-i)
+        free = cs[:k] if even else cs  # the pin sets c_k = 0 at even k
+        hk = sympy.Poly(sum(c * x**i * y**(k - i) for i, c in enumerate(free)), x, y)
+        Hk = H + hk
+        dH = P * Hk.diff(x) + Q * Hk.diff(y)
+        eqs = [dH.coeff_monomial(x**i * y**(k - i)) for i in range(k + 1)]
+        if even:
+            eqs[k] -= L
+        unknowns = [*free, L] if even else list(free)
+        (sol,) = sympy.linsolve(eqs, unknowns)  # one solution, no free symbol
+        sol = dict(zip(unknowns, sol))
+        H = sympy.Poly(Hk.as_expr().subs(sol), x, y)
+        if even:
+            out.append(sol[L])
+    return out
+
+
+def test_quantities_match_sympy_undetermined_coefficients():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    x, y = sympy.symbols("x y")
+    mons = [(2, 0), (1, 1), (0, 2)]
+    for _ in range(3):
+        a, b = ({m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in mons}
+                for _ in range(2))
+        p = MultiPoly(("x", "y"), {(0, 1): Fraction(-1), **a})
+        q = MultiPoly(("x", "y"), {(1, 0): Fraction(1), **b})
+        f, g = (sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                    for (i, j), c in h.items()) for h in (a, b))
+        ours = [L.constant_value() for L in lyapunov_quantities(p, q, 3).quantities]
+        theirs = _sympy_quantities(sympy, f, g, 3)
+        assert ours == [Fraction(int(v.p), int(v.q)) for v in theirs]
+
+
+def test_memory_of_four_quantities_stays_small():
+    # the series is kept per monomial and degree 10 is never stored, so the
+    # traced heap peak stays well below what materializing it would cost
+    fam = fields.p5_family()
+    p, q = fam.P, fam.Q
+    tracemalloc.start()
+    try:
+        lyapunov_quantities(p, q, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -1,20 +1,27 @@
 """Singularity location and classification, index identities, four-point
 configuration checks, and contact points on lines.
 
-Common zeros of (f, g) are found by resultant elimination plus Sturm
-isolation, then certified by exact back-substitution: no step relies on
-floating point, so determinant and trace signs (which the classification
-hinges on) are exact.
+Common zeros of (f, g) come from one separating frame: integer
+coordinates (x, y) = M·(u, t) in which f or g has a constant leading
+coefficient in u.  There Res_u(f, g)(t) vanishes identically exactly when
+f and g share a factor, and each of its real roots is the t of a common
+zero; a rational root is solved by the exact gcd of its two fibres, an
+irrational one by the first subresultant (a bivariate rational univariate
+representation: Rouillier 1999, González-Vega & El Kahoui 1996).  Every
+point is certified by exact back-substitution: no step relies on floating
+point, so determinant and trace signs (which the classification hinges
+on) are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .centers import cofactor
-from .fields import VectorField
+from .fields import VectorField, in_plane
 from .poly import MultiPoly, format_poly, parse_poly
 from .resultants import (
     first_subresultant,
@@ -39,7 +46,8 @@ from .scalars import scalar_sign
 
 
 class DegenerateElimination(ArithmeticError):
-    """Valid input whose zeros no elimination order can back-substitute."""
+    """Valid input with a common zero that no separating frame can
+    back-substitute: one singular on both components."""
 
 
 def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
@@ -49,70 +57,93 @@ def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
     return RatInterval(min(vals), max(vals))
 
 
+# frame coordinates (u, t); t is named s, the variable of the root
+_US = ("u", "s")
+_U = MultiPoly.var("u", _US)
+_S = MultiPoly.var("s", _US)
+_MINUS_S, _ONE = -_S, MultiPoly.const(1, _US)  # num and den of u = s
+_IDENTITY, _SWAP = (1, 0, 0, 1), (0, 1, 1, 0)
+
+
+def _frames():
+    """Integer frames (a, b, c, e), meaning x = a*u + b*t, y = c*u + e*t:
+    the identity, the swap, then the shears y = t - c*x for c = 1, -1, 2,
+    -2, ..."""
+    yield _IDENTITY
+    yield _SWAP
+    for c in itertools.count(1):
+        yield (1, 0, -c, 1)
+        yield (1, 0, c, 1)
+
+
+def _in_frame(p: MultiPoly, frame: tuple) -> MultiPoly:
+    """p at (x, y) = M·(u, t), a polynomial in (u, s)."""
+    p = p.with_variables(("x", "y"))
+    if frame == _IDENTITY:
+        return p.renamed(_US)
+    if frame == _SWAP:
+        return p.renamed(("s", "u")).with_variables(_US)
+    a, b, c, e = frame
+    return p.substitute({"x": _U * a + _S * b,
+                         "y": _U * c + _S * e}).with_variables(_US)
+
+
 class CertifiedPoint:
     """One isolated common zero of (f, g), with exact sign queries.
 
-    Two shapes: both coordinates rational; or the `base` coordinate an
-    isolated real root of a univariate defining polynomial with the other
-    coordinate -num/den evaluated there.  num and den are the first
-    subresultant's coefficients, or the constants -value and 1 when the
-    other coordinate is a rational value.
+    s is a real root of the univariate `defining` polynomial D(s); the
+    point is M·(u, t) with u = -num(s)/den(s).  Either t = s, with num and
+    den the first subresultant's coefficients, or t is the rational t0 and
+    u = s is a root of the fibre gcd.  The point is rational exactly when
+    the root is; then it keeps only its coordinates, `exact`.
     """
 
-    def __init__(self, kind: str, **data):
-        self.kind = kind  # "rational" | "func"
-        self.data = data
+    __slots__ = ("frame", "root", "defining", "num", "den", "t0", "exact")
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def rational(x: Fraction, y: Fraction) -> "CertifiedPoint":
-        return CertifiedPoint("rational", x=x, y=y)
-
-    @staticmethod
-    def on_curve(base_var: str, root: IsolatingInterval, defining: MultiPoly,
-                 num: MultiPoly, den: MultiPoly) -> "CertifiedPoint":
-        """The base_var coordinate is `root` of `defining`; the other is
-        -num/den evaluated there."""
-        return CertifiedPoint(
-            "func", base_var=base_var, root=root, defining=defining,
-            num=num, den=den,
-        )
-
-    # -- queries -------------------------------------------------------------
+    def __init__(self, frame: tuple, root: RootLocation, defining: MultiPoly,
+                 num: MultiPoly, den: MultiPoly, t0: Optional[Fraction] = None):
+        if isinstance(root, Fraction):  # keep the coordinates alone
+            at = {"s": root}
+            u = -num.eval_scalar(at) / den.eval_scalar(at)
+            t = root if t0 is None else t0
+            a, b, c, e = frame
+            self.exact = (a * u + b * t, c * u + e * t)
+            return
+        self.exact = None
+        self.frame, self.root, self.defining = frame, root, defining
+        self.num, self.den, self.t0 = num, den, t0
 
     def sign_of(self, p: MultiPoly) -> int:
         """Exact sign of a polynomial in (x, y) at the point."""
-        d = self.data
-        if self.kind == "rational":
-            return scalar_sign(p.eval_scalar({"x": d["x"], "y": d["y"]}))
-        base = d["base_var"]
-        other = "y" if base == "x" else "x"
-        m = p.degree_in(other)
-        m = 0 if not isinstance(m, int) else m
-        acc = substitute_ratio(p, other, d["num"], d["den"]).with_variables((base,))
-        s_acc = sign_at_root(acc, d["defining"], d["root"], base)
-        s_den = sign_at_root(d["den"], d["defining"], d["root"], base)
+        if self.exact is not None:
+            x, y = self.exact
+            return scalar_sign(p.eval_scalar({"x": x, "y": y}))
+        q = _in_frame(p, self.frame)
+        if self.t0 is not None:  # fix t; the root variable is u
+            q = q.evaluate({"s": self.t0})
+        m = max(q.degree_in("u"), 0)  # the zero polynomial has degree -inf
+        acc = substitute_ratio(q, "u", self.num, self.den)
+        s_acc = sign_at_root(acc, self.defining, self.root, "s")
+        s_den = sign_at_root(self.den, self.defining, self.root, "s")
         return s_acc * (s_den ** m)
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> tuple:
         """(RatInterval x, RatInterval y) boxes of at most the given width."""
-        d = self.data
-        if self.kind == "rational":
-            return RatInterval.point(d["x"]), RatInterval.point(d["y"])
-        iv = d["root"]
-        sf = squarefree_part(poly_to_coeffs(d["defining"]))
+        if self.exact is not None:
+            return tuple(RatInterval.point(v) for v in self.exact)
+        a, b, c, e = self.frame
+        iv = self.root
+        sf = squarefree_part(poly_to_coeffs(self.defining, "s"))
         while True:
-            base_box = RatInterval(iv.lo, iv.hi)
-            den_box = poly_box_eval(d["den"], {d["base_var"]: base_box})
+            box = {"s": RatInterval(iv.lo, iv.hi)}
+            den_box = poly_box_eval(self.den, box)
             if not den_box.contains_zero():
-                num_box = poly_box_eval(d["num"], {d["base_var"]: base_box})
-                other_box = -_iv_div(num_box, den_box)
-                if base_box.width() <= width and other_box.width() <= width:
-                    d["root"] = iv
-                    if d["base_var"] == "x":
-                        return base_box, other_box
-                    return other_box, base_box
+                u = -_iv_div(poly_box_eval(self.num, box), den_box)
+                t = box["s"] if self.t0 is None else RatInterval.point(self.t0)
+                bx, by = a * u + b * t, c * u + e * t
+                if bx.width() <= width and by.width() <= width:
+                    self.root = iv
+                    return bx, by
             iv = refine(sf, iv, iv.width() / 4)
 
     def midpoint(self) -> tuple:
@@ -176,102 +207,62 @@ def _classify(pt: CertifiedPoint, det: MultiPoly, trace: MultiPoly,
 def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
     """All isolated common zeros of f and g as CertifiedPoints.
 
-    Eliminates x first; roots of the resultant in y are back-substituted
-    exactly.  Rational y-roots (including every case where a leading
-    coefficient in x vanishes: substitution needs no degree assumption)
-    go through a direct univariate gcd; irrational ones use the first
-    subresultant, falling back to eliminating y instead when it vanishes
-    at the root.
+    Tries the frames in turn and uses the first one in which f or g has a
+    constant leading coefficient in u and the first subresultant is
+    nonzero at every irrational root of R(t) = Res_u(f, g).  A frame fails
+    only on a fibre that holds two common zeros, or a double one; those
+    rule out at most C(B, 2) + B directions (B = deg f * deg g, Bezout)
+    besides the at most max(deg) without a constant leading coefficient.
+    Only a common zero singular on both components, with no rational t in
+    any frame, defeats every frame.
     """
-    f, g = MultiPoly._align(f, g)
-    f = f.with_variables(("x", "y"))
-    g = g.with_variables(("x", "y"))
     if f.is_zero() or g.is_zero():
         raise ValueError("zero component has a non-isolated zero set")
-    common = multivariate_gcd(f, g)
-    if not common.is_constant():
-        raise ValueError(
-            f"components share the factor {format_poly(common)}; "
-            "the solution set is not isolated"
-        )
-    points = _eliminate_once(f, g, "x")
-    if points is None:
-        points = _eliminate_once(f, g, "y")
-        if points is None:
-            raise DegenerateElimination(
-                "back-substitution degenerated in both elimination orders"
+    bezout = f.degree() * g.degree()
+    tries = bezout * (bezout - 1) // 2 + bezout + max(f.degree(), g.degree()) + 1
+    for frame in itertools.islice(_frames(), tries):
+        F, G = (_in_frame(h, frame) for h in (f, g))
+        if not any(h.coeffs_in("u")[-1].is_constant() for h in (F, G)):
+            continue
+        R = resultant(F, G, "u")
+        if R.is_zero():
+            raise ValueError(
+                f"components share the factor {format_poly(multivariate_gcd(f, g))}; "
+                "the solution set is not isolated"
             )
+        points = _points_in_frame(F, G, R, frame)
+        if points is not None:
+            break
+    else:
+        raise DegenerateElimination(
+            f"no frame of {tries} separates the common zeros: "
+            "one is singular on both components"
+        )
+    for pt in points:
+        if pt.sign_of(f) or pt.sign_of(g):
+            raise RuntimeError("a back-substituted point is not a common zero")
     return points
 
 
-def _eliminate_once(f: MultiPoly, g: MultiPoly, var: str):
-    """Solve by eliminating `var`; None when the first subresultant
-    vanishes at an irrational base root (caller retries the other order).
-
-    A component free of `var` needs no special case: the resultant is then
-    a power of it, with the same roots, and the first subresultant is the
-    other component's coefficients when that one is linear in `var`, else
-    zero.
-    """
-    other = "y" if var == "x" else "x"
-    R = resultant(f, g, var)
-    if R.is_zero():
-        raise ValueError("resultant vanished identically despite trivial gcd")
-    if R.is_constant():
-        return []
-    Ru = R.with_variables((other,))
+def _points_in_frame(F: MultiPoly, G: MultiPoly, R: MultiPoly, frame: tuple):
+    """Common zeros of F and G over the real roots of R(s) = Res_u(F, G);
+    None when the first subresultant vanishes at an irrational root."""
     s1 = s0 = None
     points = []
-    for r in real_roots(poly_to_coeffs(Ru, other)):
+    for r in real_roots(poly_to_coeffs(R, "s")):
         if isinstance(r, Fraction):
-            fu = f.evaluate({other: r}).with_variables((var,))
-            gu = g.evaluate({other: r}).with_variables((var,))
-            points.extend(_pair_at_rational(fu, gu, var, other, r))
+            fibre = gcd_univariate(*(poly_to_coeffs(h.evaluate({"s": r}), "u")
+                                     for h in (F, G)))
+            defining = coeffs_to_poly(fibre, "s")
+            points += [CertifiedPoint(frame, u, defining, _MINUS_S, _ONE, r)
+                       for u in real_roots(fibre)]
             continue
         if s1 is None:
-            s1, s0 = first_subresultant(f, g, var)
-            s1 = s1.with_variables((other,))
-            s0 = s0.with_variables((other,))
-        dy = Ru
-        if sign_at_root(s1, dy, r, other) == 0:
+            s1, s0 = first_subresultant(F, G, "u")
+        if sign_at_root(s1, R, r, "s") == 0:
             return None
-        # verify both components vanish at (var = -s0/s1, other = r)
-        ok = True
-        for h in (f, g):
-            comp = substitute_ratio(h, var, s0, s1).with_variables((other,))
-            if sign_at_root(comp, dy, r, other) != 0:
-                ok = False
-                break
-        if ok:
-            points.append(CertifiedPoint.on_curve(other, r, dy, s0, s1))
+        points.append(CertifiedPoint(frame, r, R, s0, s1))
     return points
-
-
-def _pair_at_rational(fu: MultiPoly, gu: MultiPoly, var: str,
-                      other: str, val: Fraction) -> list:
-    """Common zeros of two univariate polynomials in `var`, with the
-    `other` coordinate fixed at the rational `val`."""
-    fc = poly_to_coeffs(fu, var)
-    gc = poly_to_coeffs(gu, var)
-    if not fc and not gc:
-        raise ValueError("both components vanish identically on a line")
-    if not fc or not gc:
-        coeffs = gc or fc
-    else:
-        coeffs = gcd_univariate(fc, gc)
-    if len(coeffs) <= 1:
-        return []
-    defining = coeffs_to_poly(coeffs, var)
-    out = []
-    for r in real_roots(coeffs):
-        if isinstance(r, Fraction):
-            x, y = (r, val) if var == "x" else (val, r)
-            out.append(CertifiedPoint.rational(x, y))
-        else:
-            out.append(CertifiedPoint.on_curve(
-                var, r, defining, MultiPoly.const(-val, (var,)),
-                MultiPoly.const(1, (var,))))
-    return out
 
 
 def _jacobian_invariants(P: MultiPoly, Q: MultiPoly) -> tuple:
@@ -281,8 +272,18 @@ def _jacobian_invariants(P: MultiPoly, Q: MultiPoly) -> tuple:
     return det, trace, trace * trace - 4 * det
 
 
-def _in_delta(pt: CertifiedPoint, lx: MultiPoly, ly: MultiPoly) -> bool:
-    return pt.sign_of(lx) < 0 and pt.sign_of(ly) < 0
+def _report(f: MultiPoly, g: MultiPoly, P: MultiPoly, Q: MultiPoly,
+            keep=lambda pt: True) -> SingularityReport:
+    """The common zeros of (f, g) that `keep` accepts, classified by the
+    Jacobian of (P, Q); a solver ValueError marks the family degenerate."""
+    try:
+        pts = _solve_pair(f, g)
+    except ValueError as e:
+        return SingularityReport(points=[], degenerate_family=True,
+                                 reason=str(e))
+    invariants = _jacobian_invariants(P, Q)
+    return SingularityReport(
+        points=[_classify(pt, *invariants) for pt in pts if keep(pt)])
 
 
 def singularities_in_delta(
@@ -300,34 +301,17 @@ def singularities_in_delta(
     if region not in ("delta", "all"):
         raise ValueError("region must be 'delta' or 'all'")
     fb = field.bind(dict(binding or {}))
-    try:
-        pts = _solve_pair(fb.f, fb.g)
-    except ValueError as e:
-        return SingularityReport(points=[], degenerate_family=True,
-                                 reason=str(e))
-    invariants = _jacobian_invariants(fb.P, fb.Q)
-    vs = fb.f.variables
-    lx = parse_poly("4*x^2 - 1", vs)
-    ly = parse_poly("4*y^2 - 1", vs)
-    out = []
-    for pt in pts:
-        if region == "delta" and not _in_delta(pt, lx, ly):
-            continue
-        out.append(_classify(pt, *invariants))
-    return SingularityReport(points=out)
+    lx = parse_poly("4*x^2 - 1", fb.variables)
+    ly = parse_poly("4*y^2 - 1", fb.variables)
+    return _report(fb.f, fb.g, fb.P, fb.Q, lambda pt: region == "all" or (
+        pt.sign_of(lx) < 0 and pt.sign_of(ly) < 0))
 
 
 def pair_report(f: MultiPoly, g: MultiPoly) -> SingularityReport:
     """Report for a bare polynomial pair: zeros of (f, g) classified by
     the Jacobian of (f, g) itself, no region filter."""
-    f, g = MultiPoly._align(f, g)
-    try:
-        pts = _solve_pair(f, g)
-    except ValueError as e:
-        return SingularityReport(points=[], degenerate_family=True,
-                                 reason=str(e))
-    invariants = _jacobian_invariants(f, g)
-    return SingularityReport(points=[_classify(p, *invariants) for p in pts])
+    f, g = in_plane(f, g)
+    return _report(f, g, f, g)
 
 
 # -- index identity -----------------------------------------------------------------

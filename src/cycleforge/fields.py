@@ -17,6 +17,16 @@ from .poly import MultiPoly, format_poly, parse_poly
 XY = ("x", "y")
 
 
+def in_plane(*polys: MultiPoly) -> list:
+    """The polynomials over (x, y) alone; a ValueError names every other
+    symbol they still use."""
+    unbound = sorted({v for p in polys for v in p.used_variables()} - set(XY))
+    if unbound:
+        raise ValueError(f"unbound symbols {', '.join(unbound)}; "
+                         "bind every parameter first")
+    return [p.with_variables(XY) for p in polys]
+
+
 def _xy_degree(p: MultiPoly) -> int:
     return max(p.graded(XY), default=0)
 
@@ -57,10 +67,8 @@ class VectorField:
 
     def bind(self, binding: Mapping) -> "VectorField":
         """Substitute parameter values, keeping x and y symbolic."""
-        return VectorField(
-            self.f.evaluate(binding).with_variables(("x", "y")),
-            self.g.evaluate(binding).with_variables(("x", "y")),
-        )
+        return VectorField(*in_plane(self.f.evaluate(binding),
+                                     self.g.evaluate(binding)))
 
     def is_even_symmetric(self) -> bool:
         """True when (x,y,t) -> (-x,-y,-t) preserves the field, i.e. P and

@@ -284,6 +284,13 @@ class MultiPoly:
             c[key] = v
         return _new(variables, c, self._d)
 
+    def renamed(self, variables: Iterable[str]) -> "MultiPoly":
+        """The same terms over new names, position for position."""
+        variables = tuple(variables)
+        if len(variables) != len(self.variables):
+            raise ValueError("renaming must keep the number of variables")
+        return _new(variables, self._c, self._d)
+
     @staticmethod
     def _align(p: "MultiPoly", q: "MultiPoly"):
         if p.variables == q.variables:

@@ -11,7 +11,9 @@ import random
 import time
 from fractions import Fraction
 
-from cycleforge import bifurcation, centers, dynamics, fields, integrate, lyapunov
+from cycleforge import (
+    bifurcation, centers, dynamics, fields, integrate, lyapunov, resultants,
+)
 from cycleforge.fields import VectorField
 from cycleforge.poly import MultiPoly, format_poly, parse_poly
 from cycleforge.resultants import cascade, resultant, unit_multiple_of
@@ -350,13 +352,10 @@ def _collinear(p, q, r):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) == 0
 
 
-def test_criterion_09_configuration_suite():
-    t0 = time.monotonic()
-    rng = random.Random(99)
-    done = 0
-    configs = {}
-    ok = True
-    while done < 200 and ok:
+def _four_zero_pair(rng):
+    """Two independent quadratics through four random non-collinear
+    rational points of the open square."""
+    while True:
         pts = []
         while len(pts) < 4:
             p = (Fraction(rng.randint(-7, 7), 16), Fraction(rng.randint(-7, 7), 16))
@@ -366,15 +365,26 @@ def test_criterion_09_configuration_suite():
             pts.append(p)
         rows = [[Fraction(1), x, y, x * x, x * y, y * y] for x, y in pts]
         basis = _nullspace(rows)
-        if len(basis) != 2:
-            continue
-        while True:
-            c1 = [rng.randint(-3, 3) for _ in range(2)]
-            c2 = [rng.randint(-3, 3) for _ in range(2)]
-            if c1[0] * c2[1] - c1[1] * c2[0] != 0:
-                break
-        f = _quadratic([c1[0] * a + c1[1] * b for a, b in zip(*basis)])
-        g = _quadratic([c2[0] * a + c2[1] * b for a, b in zip(*basis)])
+        if len(basis) == 2:
+            break
+    while True:
+        c1 = [rng.randint(-3, 3) for _ in range(2)]
+        c2 = [rng.randint(-3, 3) for _ in range(2)]
+        if c1[0] * c2[1] - c1[1] * c2[0] != 0:
+            break
+    f = _quadratic([c1[0] * a + c1[1] * b for a, b in zip(*basis)])
+    g = _quadratic([c2[0] * a + c2[1] * b for a, b in zip(*basis)])
+    return f, g
+
+
+def test_criterion_09_configuration_suite():
+    t0 = time.monotonic()
+    rng = random.Random(99)
+    done = 0
+    configs = {}
+    ok = True
+    while done < 200 and ok:
+        f, g = _four_zero_pair(rng)
         rep = dynamics.pair_report(f, g)
         if rep.degenerate_family or len(rep.points) != 4:
             continue
@@ -394,6 +404,35 @@ def test_criterion_09_configuration_suite():
     elapsed = time.monotonic() - t0
     ok = ok and done == 200 and elapsed < 300.0
     _report(9, ok, f"{done} pairs, {configs}, {elapsed:.2f}s")
+
+
+def test_gcd_only_names_a_shared_factor(monkeypatch):
+    # the separating frame's resultant detects a shared factor by itself:
+    # coprime pairs never reach multivariate_gcd, and a shared factor
+    # reaches it once (its outermost call), to name the factor
+    calls, depth = [0], [0]
+    original = resultants.multivariate_gcd
+
+    def counted(p, q):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(p, q)
+        finally:
+            depth[0] -= 1
+
+    for module in (resultants, dynamics):
+        monkeypatch.setattr(module, "multivariate_gcd", counted)
+    rng = random.Random(99)
+    for _ in range(20):
+        f, g = _four_zero_pair(rng)
+        assert len(dynamics.pair_report(f, g).points) == 4
+        assert len(dynamics.singularities_in_delta(VectorField(f, g)).points) == 4
+    assert calls[0] == 0
+    f = parse_poly("(x + y)*(x - 1)", ("x", "y"))
+    g = parse_poly("(x + y)*(y + 2)", ("x", "y"))
+    assert dynamics.pair_report(f, g).degenerate_family
+    assert calls[0] == 1
 
 
 # -- 10: resultant against an independent Euclidean-gcd oracle -------------------------

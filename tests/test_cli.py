@@ -233,14 +233,28 @@ def test_berlinskii_raw_pair(tmp_path, capsys):
     assert data["berlinskii"]["configuration"] == "convex_alternating"
 
 
-def test_irrational_grid_exits_3(tmp_path, capsys):
-    # valid input whose zeros (+-sqrt2, +-sqrt3) no elimination order can
-    # back-substitute: a limit of the method, not an input error
+def test_irrational_grid_exits_0(tmp_path, capsys):
+    # the zeros (+-sqrt2, +-sqrt3) need a sheared frame, not a refusal
     src = tmp_path / "grid.json"
     src.write_text(json.dumps({"f": "y^2 - 3", "g": "x^2 - 2"}))
     code, out, err = run(capsys, "berlinskii", "--file", str(src), "--raw-pair")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert len(data["singularities"]["points"]) == 4
+    assert data["berlinskii"]["configuration"] == "convex_alternating"
+
+
+def test_doubly_singular_irrational_zeros_exit_3(tmp_path, capsys):
+    # valid input whose zeros (+-sqrt2, +-sqrt3) are singular on both
+    # components: every fibre through one holds a double zero, so no frame
+    # separates them; a limit of the method, not an input error
+    src = tmp_path / "grid.json"
+    src.write_text(json.dumps({"f": "(x^2 - 2)*(y^2 - 3)",
+                               "g": "(x^2 - 2)^2 + (y^2 - 3)^2"}))
+    code, out, err = run(capsys, "berlinskii", "--file", str(src), "--raw-pair")
     assert code == 3 and out == ""
-    assert err == "error: back-substitution degenerated in both elimination orders\n"
+    assert err == ("error: no frame of 141 separates the common zeros: "
+                   "one is singular on both components\n")
 
 
 def test_output_is_deterministic(capsys):

@@ -1,12 +1,13 @@
 """Certified singular points, configurations, and contact points."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycleforge import dynamics
-from cycleforge.fields import VectorField
+from cycleforge.fields import VectorField, p9_family
 from cycleforge.poly import MultiPoly, parse_poly
 
 
@@ -70,12 +71,74 @@ def test_component_free_of_x_without_real_points():
     assert not rep.degenerate_family and rep.points == []
 
 
-def test_irrational_grid_is_refused():
-    # every zero has two irrational coordinates that are not rational
-    # functions of each other: no elimination order can back-substitute
+def _sympy_real_solutions(sympy, f, g):
+    """sympy's distinct real common zeros of f and g, as exact (x, y).
+
+    Each coordinate is a real root of the eliminant that a lex Groebner
+    basis gives for it; a candidate pair is kept when f and g vanish there
+    to 40 digits (distinct algebraic points are far apart at that scale).
+    """
+    x, y = sympy.symbols("x y")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                   for (i, j), c in p.terms.items())
+
+    F, G = expr(f), expr(g)
+
+    def coords(v, w):
+        last = sympy.groebner([F, G], w, v, order="lex").exprs[-1]
+        roots = [] if last.is_number else sympy.Poly(last, v).real_roots()
+        return [(r, sympy.N(r, 60)) for r in dict.fromkeys(roots)]
+
+    xs, ys = coords(x, y), coords(y, x)
+    return [(x0, y0) for x0, xn in xs for y0, yn in ys
+            if all(abs(h.subs({x: xn, y: yn})) < 1e-40 for h in (F, G))]
+
+
+def _assert_matches_sympy(sympy, rep, f, g):
+    """Same count as sympy's distinct real solutions, each of which lies in
+    exactly one enclosure (exactly, when a coordinate is rational)."""
+    sols = _sympy_real_solutions(sympy, f, g)
+    assert len(rep.points) == len(sols)
+    boxes = [p.point.enclosure() for p in rep.points]
+
+    def inside(c, box):
+        if c.is_Rational:
+            return box.lo <= Fraction(int(c.p), int(c.q)) <= box.hi
+        v = sympy.re(sympy.N(c, 60))
+        return box.lo < v < box.hi
+
+    for sol in sols:
+        hits = [b for b in boxes if all(inside(c, bc) for c, bc in zip(sol, b))]
+        assert len(hits) == 1, (sol, boxes)
+
+
+def test_irrational_grid_is_solved():
+    # every zero (+-sqrt2, +-sqrt3) has two irrational coordinates that are
+    # not rational functions of each other: the identity and the swap
+    # leave each fibre with two zeros, a shear separates them
+    sympy = pytest.importorskip("sympy")
     f, g = _pair("y^2 - 3", "x^2 - 2")
-    with pytest.raises(ArithmeticError):
-        dynamics.pair_report(f, g)
+    rep = dynamics.pair_report(f, g)
+    assert not rep.degenerate_family and len(rep.points) == 4
+    x, y = _pair("x", "y")
+    assert {(p.point.sign_of(x), p.point.sign_of(y)) for p in rep.points} == {
+        (1, 1), (1, -1), (-1, 1), (-1, -1)}
+    for p in rep.points:
+        bx, by = p.point.enclosure()
+        assert bx.width() <= Fraction(1, 10**9) and by.width() <= Fraction(1, 10**9)
+    _assert_matches_sympy(sympy, rep, f, g)
+    assert dynamics.berlinskii_check(rep).configuration == "convex_alternating"
+
+
+def test_unbound_symbols_are_input_errors():
+    # a free symbol must not turn into a "degenerate family" report
+    f = parse_poly("x + a", ("x", "a"))
+    with pytest.raises(ValueError, match="unbound symbols a"):
+        dynamics.pair_report(f, parse_poly("y", ("y",)))
+    with pytest.raises(ValueError, match="unbound symbols alpha, lam"):
+        dynamics.singularities_in_delta(p9_family(), {"mu": 0})
 
 
 _MON = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -97,13 +160,48 @@ def _small_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(_small_pair())
 def test_every_reported_point_is_a_common_zero(pair):
+    # a common zero singular on both components of a pair of degree <= 2
+    # is rational, so the solver never refuses one
     f, g = pair
-    try:
-        rep = dynamics.pair_report(f, g)
-    except ArithmeticError:  # documented refusal: irrational grid points
-        return
+    rep = dynamics.pair_report(f, g)
     for p in rep.points:
         assert p.point.sign_of(f) == p.point.sign_of(g) == 0
+
+
+def _random_poly(rng, frees=(None, 0, 1)):
+    """Seeded counterpart of a _small_pair component: free of the variable
+    of index rng.choice(frees), or of neither for None."""
+    free = rng.choice(frees)
+    mons = [m for m in _MON if free is None or m[free] == 0]
+    picked = rng.sample(mons, rng.randint(1, len(mons)))
+    return MultiPoly(("x", "y"), {m: rng.choice([-3, -2, -1, 1, 2, 3])
+                                  for m in picked})
+
+
+def _quadratic_in(rng, i):
+    """a*v^2 + b*v - c with a, c > 0 in the variable of index i: two real
+    roots, irrational unless the discriminant is a square."""
+    def mon(e):
+        return (e, 0) if i == 0 else (0, e)
+    return MultiPoly(("x", "y"), {mon(2): rng.randint(1, 3), mon(1): rng.randint(-3, 3),
+                                  mon(0): -rng.randint(1, 3)})
+
+
+def test_point_sets_match_sympy():
+    # random pairs, then grids (f free of x, g free of y): a grid needs a
+    # shear when both components have irrational roots
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    pairs = [(_random_poly(rng), _random_poly(rng)) for _ in range(80)]
+    pairs += [(_quadratic_in(rng, 1), _quadratic_in(rng, 0)) for _ in range(12)]
+    solved = 0
+    for f, g in pairs:
+        rep = dynamics.pair_report(f, g)
+        if rep.degenerate_family:
+            continue
+        _assert_matches_sympy(sympy, rep, f, g)
+        solved += 1
+    assert solved >= 85
 
 
 def test_degenerate_shared_factor_detected():

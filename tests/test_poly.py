@@ -113,6 +113,16 @@ def test_substitute_composition():
     assert q == parse_poly("x^2 + 2*x + 1 + 2*y", ("x", "y"))
 
 
+@settings(max_examples=30, deadline=None)
+@given(polys())
+def test_renamed_equals_substitution(p):
+    names = ("u", "t")
+    sub = {"x": MultiPoly.var("u", names), "y": MultiPoly.var("t", names)}
+    assert p.renamed(names) == p.substitute(sub).with_variables(names)
+    with pytest.raises(ValueError):
+        p.renamed(("u",))
+
+
 def test_eval_scalar_matches_substitution():
     p = parse_poly("3*x^2*y - y + 7")
     v = p.eval_scalar({"x": Fraction(2, 3), "y": Fraction(-1, 2)})

@@ -283,11 +283,6 @@ def _fail(k, point, symmetric, reason, **extra) -> GGTReport:
     )
 
 
-def _sign_on(f: MultiPoly, defining: MultiPoly, root: RootLocation, var: str) -> int:
-    f, defining = MultiPoly._align(f, defining)
-    return sign_at_root(f, defining, root, var)
-
-
 def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     """Run the first-order bifurcation pipeline around `setup.point`.
 
@@ -410,22 +405,20 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     chosen = None
     for r in roots:
         cand = {"mu0": r, "l": None, "valid": False}
-        bad_den = next(
-            (d for d in dens if _sign_on(d, f0.num, r, mu) == 0), None
-        )
+        bad_den = next((d for d in dens if sign_at_root(d, r, mu) == 0), None)
         if bad_den is not None:
             cand["reason"] = (
                 f"denominator {format_poly(bad_den)} vanishes at the candidate"
             )
             candidates.append(cand)
             continue
-        if _sign_on(f0d, f0.num, r, mu) == 0:
+        if sign_at_root(f0d, r, mu) == 0:
             cand["reason"] = "zero of f_0 is not simple"
             candidates.append(cand)
             continue
         ell = None
         for i in range(1, len(f_funcs)):
-            s = _sign_on(f_funcs[i].num, f0.num, r, mu)
+            s = sign_at_root(f_funcs[i].num, r, mu)
             if s != 0:
                 ell = i
                 break

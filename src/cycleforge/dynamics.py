@@ -33,14 +33,12 @@ from .roots import (
     IsolatingInterval,
     RatInterval,
     RootLocation,
-    coeffs_to_poly,
     gcd_univariate,
     poly_box_eval,
     poly_to_coeffs,
     real_roots,
     refine,
     sign_at_root,
-    squarefree_part,
 )
 from .scalars import scalar_sign
 
@@ -91,16 +89,18 @@ def _in_frame(p: MultiPoly, frame: tuple) -> MultiPoly:
 class CertifiedPoint:
     """One isolated common zero of (f, g), with exact sign queries.
 
-    s is a real root of the univariate `defining` polynomial D(s); the
-    point is M·(u, t) with u = -num(s)/den(s).  Either t = s, with num and
-    den the first subresultant's coefficients, or t is the rational t0 and
-    u = s is a root of the fibre gcd.  The point is rational exactly when
-    the root is; then it keeps only its coordinates, `exact`.
+    s is a real root from `real_roots`: a rational, or an isolating
+    interval that carries its square-free polynomial D(s).  The point is
+    M·(u, t) with u = -num(s)/den(s).  Either t = s, with num and den the
+    first subresultant's coefficients and D the square-free part of the
+    resultant, or t is the rational t0 and u = s is a root of the fibre
+    gcd.  The point is rational exactly when the root is; then it keeps
+    only its coordinates, `exact`.
     """
 
-    __slots__ = ("frame", "root", "defining", "num", "den", "t0", "exact")
+    __slots__ = ("frame", "root", "num", "den", "t0", "exact")
 
-    def __init__(self, frame: tuple, root: RootLocation, defining: MultiPoly,
+    def __init__(self, frame: tuple, root: RootLocation,
                  num: MultiPoly, den: MultiPoly, t0: Optional[Fraction] = None):
         if isinstance(root, Fraction):  # keep the coordinates alone
             at = {"s": root}
@@ -110,7 +110,7 @@ class CertifiedPoint:
             self.exact = (a * u + b * t, c * u + e * t)
             return
         self.exact = None
-        self.frame, self.root, self.defining = frame, root, defining
+        self.frame, self.root = frame, root
         self.num, self.den, self.t0 = num, den, t0
 
     def sign_of(self, p: MultiPoly) -> int:
@@ -123,17 +123,19 @@ class CertifiedPoint:
             q = q.evaluate({"s": self.t0})
         m = max(q.degree_in("u"), 0)  # the zero polynomial has degree -inf
         acc = substitute_ratio(q, "u", self.num, self.den)
-        s_acc = sign_at_root(acc, self.defining, self.root, "s")
-        s_den = sign_at_root(self.den, self.defining, self.root, "s")
+        s_acc = sign_at_root(acc, self.root, "s")
+        s_den = sign_at_root(self.den, self.root, "s")
         return s_acc * (s_den ** m)
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> tuple:
-        """(RatInterval x, RatInterval y) boxes of at most the given width."""
+        """(RatInterval x, RatInterval y) boxes of at most the given
+        positive width."""
+        if width <= 0:
+            raise ValueError(f"enclosure width must be positive, got {width}")
         if self.exact is not None:
             return tuple(RatInterval.point(v) for v in self.exact)
         a, b, c, e = self.frame
         iv = self.root
-        sf = squarefree_part(poly_to_coeffs(self.defining, "s"))
         while True:
             box = {"s": RatInterval(iv.lo, iv.hi)}
             den_box = poly_box_eval(self.den, box)
@@ -144,7 +146,7 @@ class CertifiedPoint:
                 if bx.width() <= width and by.width() <= width:
                     self.root = iv
                     return bx, by
-            iv = refine(sf, iv, iv.width() / 4)
+            iv = refine(iv, iv.width() / 4)
 
     def midpoint(self) -> tuple:
         bx, by = self.enclosure()
@@ -253,15 +255,14 @@ def _points_in_frame(F: MultiPoly, G: MultiPoly, R: MultiPoly, frame: tuple):
         if isinstance(r, Fraction):
             fibre = gcd_univariate(*(poly_to_coeffs(h.evaluate({"s": r}), "u")
                                      for h in (F, G)))
-            defining = coeffs_to_poly(fibre, "s")
-            points += [CertifiedPoint(frame, u, defining, _MINUS_S, _ONE, r)
+            points += [CertifiedPoint(frame, u, _MINUS_S, _ONE, r)
                        for u in real_roots(fibre)]
             continue
         if s1 is None:
             s1, s0 = first_subresultant(F, G, "u")
-        if sign_at_root(s1, R, r, "s") == 0:
+        if sign_at_root(s1, r, "s") == 0:
             return None
-        points.append(CertifiedPoint(frame, r, R, s0, s1))
+        points.append(CertifiedPoint(frame, r, s0, s1))
     return points
 
 
@@ -469,7 +470,7 @@ def contact_points(field: VectorField, line: Sequence,
     dHu = Hu.diff(var)
     out = []
     for r in real_roots(coeffs):
-        simple = sign_at_root(dHu, Hu, r, var) != 0
+        simple = sign_at_root(dHu, r, var) != 0
         t = r.midpoint() if isinstance(r, IsolatingInterval) else r
         if b != 0:
             x, y = t, -(a * t + c) / b

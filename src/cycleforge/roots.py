@@ -2,13 +2,15 @@
 
 Works on coefficient lists (index = power) over Q or Q(sqrt(d)).  Roots come
 back either as exact rationals (found by the rational-root theorem) or as
-Sturm-certified isolating intervals with rational endpoints.
+Sturm-certified isolating intervals with rational endpoints.  An interval
+carries the square-free polynomial its Sturm count and endpoint signs refer
+to, so `refine` and `sign_at_root` need nothing but the root itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -21,16 +23,12 @@ from .scalars import QuadExt, inverse, scalar_sign, is_zero
 
 def poly_to_coeffs(p: MultiPoly, var: Optional[str] = None) -> list:
     used = p.used_variables()
-    if len(used) > 1:
-        raise ValueError(f"{p} is not univariate")
+    var = var or (used[0] if used else None)
+    if any(v != var for v in used):
+        raise ValueError(f"{p} is not a polynomial in {var} alone")
     if not used:  # a constant has degree <= 0 in any variable
         return strip([p.constant_value()])
-    coeffs = [c.constant_value() for c in p.coeffs_in(var or used[0])]
-    return strip(coeffs)
-
-
-def coeffs_to_poly(coeffs: list, var: str) -> MultiPoly:
-    return MultiPoly.from_collected((var,), {(k,): c for k, c in enumerate(coeffs)})
+    return strip([c.constant_value() for c in p.coeffs_in(var)])
 
 
 def strip(coeffs: list) -> list:
@@ -157,11 +155,13 @@ def cauchy_bound(coeffs: list) -> Fraction:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Open rational interval certified (Sturm count 1) to hold one simple root."""
+    """Open rational interval certified (Sturm count 1) to hold one simple
+    root of the square-free polynomial `poly` (coefficients, index = power)."""
 
     lo: Fraction
     hi: Fraction
-    sign_change_certificate: tuple  # (sign at lo, sign at hi)
+    sign_change_certificate: tuple  # (sign of poly at lo, sign at hi)
+    poly: tuple = field(repr=False)
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -192,8 +192,8 @@ def _rational_component_polys(coeffs: list):
     return strip(p1), strip(p2)
 
 
-def rational_roots(coeffs: list) -> List[tuple]:
-    """All rational roots with multiplicities, via the rational-root theorem."""
+def rational_roots(coeffs: list) -> List[Fraction]:
+    """The distinct rational roots, ascending, via the rational-root theorem."""
     coeffs = strip(coeffs[:])
     if not coeffs or deg(coeffs) == 0:
         return []
@@ -237,19 +237,7 @@ def rational_roots(coeffs: list) -> List[tuple]:
                     acc = acc * p + c * qq
                 if acc == 0:
                     hits.add(Fraction(p, qdiv))
-    out = []
-    for r in sorted(hits):
-        mult = 0
-        rest = coeffs[:]
-        while len(rest) > 1:
-            q, rem = _divmod(rest, [-r, Fraction(1)])
-            if strip(rem):
-                break
-            mult += 1
-            rest = q
-        if mult:
-            out.append((r, mult))
-    return out
+    return sorted(hits)
 
 
 def _divisors(n: int) -> list:
@@ -280,7 +268,7 @@ def real_roots(coeffs: list) -> List[RootLocation]:
 
 def _squarefree_real_roots(sf: list) -> List[RootLocation]:
     """`real_roots` of a square-free polynomial of positive degree."""
-    rroots = [r for r, _ in rational_roots(sf)]
+    rroots = rational_roots(sf)
     rest = sf
     for r in rroots:
         rest, rem = _divmod(rest, [-r, Fraction(1)])
@@ -292,9 +280,8 @@ def _squarefree_real_roots(sf: list) -> List[RootLocation]:
             # interval isolates with respect to the full input polynomial,
             # then restate the endpoint certificate in terms of it
             while any(iv.lo <= r <= iv.hi for r in rroots):
-                iv = refine(rest, iv, iv.width() / 4)
-            cert = (scalar_sign(horner(sf, iv.lo)), scalar_sign(horner(sf, iv.hi)))
-            roots.append(IsolatingInterval(iv.lo, iv.hi, cert))
+                iv = refine(iv, iv.width() / 4)
+            roots.append(_certified(sf, iv.lo, iv.hi))
     return sorted(roots, key=lambda r: r.midpoint() if isinstance(r, IsolatingInterval) else r)
 
 
@@ -311,7 +298,7 @@ def _isolate_irrational(sf: list) -> List[IsolatingInterval]:
         if n == 1:
             slo, shi = scalar_sign(horner(sf, lo)), scalar_sign(horner(sf, hi))
             if slo != 0 and shi != 0 and slo != shi:
-                out.append(IsolatingInterval(lo, hi, (slo, shi)))
+                out.append(IsolatingInterval(lo, hi, (slo, shi), tuple(sf)))
                 return
         mid = (lo + hi) / 2
         nl = variations_at(chain, lo) - variations_at(chain, mid)
@@ -323,26 +310,31 @@ def _isolate_irrational(sf: list) -> List[IsolatingInterval]:
     return out
 
 
-def refine(coeffs_sf: list, iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
-    """Bisect a certified interval of a square-free polynomial down to width."""
+def _certified(sf: list, lo: Fraction, hi: Fraction) -> IsolatingInterval:
+    """(lo, hi) with the signs of sf at its ends; the caller has checked
+    that it isolates one simple root of sf."""
+    cert = (scalar_sign(horner(sf, lo)), scalar_sign(horner(sf, hi)))
+    return IsolatingInterval(lo, hi, cert, tuple(sf))
+
+
+def refine(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
+    """Bisect a certified interval down to the given positive width."""
+    if width <= 0:
+        raise ValueError(f"refinement width must be positive, got {width}")
     lo, hi = iv.lo, iv.hi
     slo, shi = iv.sign_change_certificate
     while hi - lo > width:
         mid = (lo + hi) / 2
-        sm = scalar_sign(horner(coeffs_sf, mid))
+        sm = scalar_sign(horner(iv.poly, mid))
         if sm == 0:
             # rational hit: shrink asymmetrically to keep an open certificate
             off = (hi - lo) / 4
-            lo2, hi2 = mid - off, mid + off
-            return IsolatingInterval(
-                lo2, hi2,
-                (scalar_sign(horner(coeffs_sf, lo2)), scalar_sign(horner(coeffs_sf, hi2))),
-            )
+            return _certified(iv.poly, mid - off, mid + off)
         if sm == slo:
             lo = mid
         else:
             hi = mid
-    return IsolatingInterval(lo, hi, (slo, shi))
+    return IsolatingInterval(lo, hi, (slo, shi), iv.poly)
 
 
 def isolate_real_roots(p: MultiPoly, var: Optional[str] = None) -> List[IsolatingInterval]:
@@ -366,7 +358,7 @@ def _rational_to_interval(sf: list, chain: list, r: Fraction) -> IsolatingInterv
         slo, shi = scalar_sign(horner(sf, lo)), scalar_sign(horner(sf, hi))
         if (slo != 0 and shi != 0 and slo != shi
                 and root_count_interval(chain, lo, hi) == 1):
-            return IsolatingInterval(lo, hi, (slo, shi))
+            return IsolatingInterval(lo, hi, (slo, shi), tuple(sf))
         gap /= 2
 
 
@@ -478,27 +470,21 @@ def poly_box_eval(p: MultiPoly, box: dict) -> RatInterval:
     return total
 
 
-def sign_at_root(f: MultiPoly, defining: MultiPoly, root: RootLocation,
-                 var: str) -> int:
-    """Exact sign of f at a root of `defining` given exactly or by interval."""
-    fc = poly_to_coeffs(f, var) if not f.is_constant() else None
+def sign_at_root(f: MultiPoly, root: RootLocation, var: str) -> int:
+    """Exact sign of the polynomial f in var at a real root."""
+    fc = poly_to_coeffs(f, var)
     if isinstance(root, Fraction):
-        val = f.eval_scalar({var: root}) if not f.is_constant() else f.constant_value()
-        return scalar_sign(val)
-    # shared root => sign 0
-    dc = poly_to_coeffs(defining, var)
-    if fc is not None:
-        g = gcd_univariate(fc, dc)
-        if deg(g) >= 1:
-            chain = sturm_chain(squarefree_part(g))
-            if root_count_interval(chain, root.lo, root.hi) > 0:
-                return 0
-    sf = squarefree_part(dc)
+        return scalar_sign(horner(fc, root))
+    # g divides the square-free root.poly, whose one root in (lo, hi) is
+    # simple and whose endpoint values are nonzero: g shares that root
+    # exactly when it changes sign across the interval
+    g = gcd_univariate(fc, list(root.poly))
+    if scalar_sign(horner(g, root.lo)) != scalar_sign(horner(g, root.hi)):
+        return 0
     iv = root
     for _ in range(SIGN_REFINE_STEPS):
-        enc = poly_box_eval(f, {var: RatInterval(iv.lo, iv.hi)})
-        s = enc.sign()
+        s = poly_box_eval(f, {var: RatInterval(iv.lo, iv.hi)}).sign()
         if s is not None:
             return s
-        iv = refine(sf, iv, iv.width() / 4)
+        iv = refine(iv, iv.width() / 4)
     raise ArithmeticError("could not determine sign by interval refinement")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycleforge import dynamics
+from cycleforge import dynamics, roots
 from cycleforge.fields import VectorField, p9_family
 from cycleforge.poly import MultiPoly, parse_poly
 
@@ -43,6 +43,14 @@ def test_irrational_intersections_certified():
         assert not (bx.hi < by.lo or by.hi < bx.lo)
     golden = parse_poly("x^2 - x - 1", ("x", "y"))
     assert all(p.point.sign_of(golden) == 0 for p in rep.points)
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
+def test_enclosure_rejects_a_width_that_is_not_positive(width):
+    f, g = _pair("x^2 - x - 1", "y - x")
+    for p in dynamics.pair_report(f, g).points:
+        with pytest.raises(ValueError, match="positive"):
+            p.point.enclosure(width)
 
 
 def test_mixed_rational_irrational_point():
@@ -139,6 +147,30 @@ def test_unbound_symbols_are_input_errors():
         dynamics.pair_report(f, parse_poly("y", ("y",)))
     with pytest.raises(ValueError, match="unbound symbols alpha, lam"):
         dynamics.singularities_in_delta(p9_family(), {"mu": 0})
+
+
+def test_square_free_parts_come_only_from_real_roots(monkeypatch):
+    # each isolating interval carries its square-free polynomial, so sign
+    # queries and enclosures never recompute it
+    calls = {"squarefree_part": 0, "real_roots": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(roots, "squarefree_part", counted(roots, "squarefree_part"))
+    wrapped = counted(roots, "real_roots")
+    monkeypatch.setattr(roots, "real_roots", wrapped)
+    monkeypatch.setattr(dynamics, "real_roots", wrapped)
+    binding = {"mu": Fraction(-3, 16), "alpha": Fraction(7, 1000), "lam": Fraction(3, 100)}
+    for _ in range(3):
+        rep = dynamics.singularities_in_delta(p9_family(), binding)
+        assert [p.kind for p in rep.points] == ["antisaddle_focus"] * 2
+    assert 0 < calls["squarefree_part"] <= calls["real_roots"]
 
 
 _MON = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycleforge.poly import parse_poly
+from cycleforge.poly import MultiPoly, parse_poly
 from cycleforge.roots import (
     IsolatingInterval,
     cauchy_bound,
@@ -22,6 +22,7 @@ from cycleforge.roots import (
     squarefree_part,
     sturm_chain,
 )
+from cycleforge.scalars import QuadExt
 
 
 def _poly_from_roots(roots):
@@ -44,11 +45,7 @@ small_roots = st.lists(
 @settings(max_examples=60)
 def test_rational_roots_recovers_constructed_roots(roots):
     coeffs = _poly_from_roots(roots)
-    found = dict(rational_roots(coeffs))
-    expected = {}
-    for r in roots:
-        expected[r] = expected.get(r, 0) + 1
-    assert found == expected
+    assert rational_roots(coeffs) == sorted(set(roots))
 
 
 @given(small_roots)
@@ -94,9 +91,17 @@ def test_cauchy_bound_contains_roots():
 def test_refine_narrows_with_certificate():
     coeffs = poly_to_coeffs(parse_poly("x^2 - 2"), "x")
     iv = real_roots(coeffs)[1]
-    narrow = refine(squarefree_part(coeffs), iv, Fraction(1, 10**9))
+    narrow = refine(iv, Fraction(1, 10**9))
     assert narrow.width() <= Fraction(1, 10**9)
     assert narrow.lo <= Fraction(1414213562, 10**9) <= narrow.hi
+    assert narrow.poly == iv.poly == tuple(squarefree_part(coeffs))
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 3)])
+def test_refine_rejects_a_width_that_is_not_positive(width):
+    iv = real_roots(poly_to_coeffs(parse_poly("x^2 - 2"), "x"))[1]
+    with pytest.raises(ValueError, match="positive"):
+        refine(iv, width)
 
 
 def test_isolate_real_roots_multipoly():
@@ -122,10 +127,93 @@ def test_isolate_real_roots_multipoly():
 def test_sign_at_root_exact():
     defining = parse_poly("x^2 - 2")
     root = real_roots(poly_to_coeffs(defining, "x"))[1]  # sqrt(2)
-    assert sign_at_root(parse_poly("x - 1"), defining, root, "x") == 1
-    assert sign_at_root(parse_poly("x - 2"), defining, root, "x") == -1
+    assert sign_at_root(parse_poly("x - 1"), root, "x") == 1
+    assert sign_at_root(parse_poly("x - 2"), root, "x") == -1
     # shares the root exactly: certified zero, not a tiny nonzero sign
-    assert sign_at_root(parse_poly("x^4 - 4"), defining, root, "x") == 0
+    assert sign_at_root(parse_poly("x^4 - 4"), root, "x") == 0
+
+
+def _sqrt2_coeff(a: int, b: int):
+    return QuadExt(a, b, 2) if b else Fraction(a)
+
+
+@st.composite
+def _sign_cases(draw):
+    """(f, defining) coefficient pairs (index = power) over Q or Q(sqrt 2):
+    defining = h*m and f = h*k, so a root of h is shared."""
+    b_range = (-2, 2) if draw(st.booleans()) else (0, 0)
+
+    def poly(lo: int, hi: int) -> list:
+        n = draw(st.integers(lo, hi))
+        pairs = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(*b_range)),
+                              min_size=n + 1, max_size=n + 1))
+        if pairs[-1] == (0, 0):
+            pairs[-1] = (1, 0)
+        return pairs
+
+    h = poly(0, 2)
+    m = poly(1, 5 - len(h))
+    k = poly(0, 5 - len(h))
+    return h, m, k
+
+
+@given(_sign_cases())
+@settings(max_examples=40, deadline=None)  # the first example pays the sympy import
+def test_sign_at_root_matches_sympy(case):
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    domain = sp.QQ.algebraic_field(sp.sqrt(2))
+
+    def both(pairs):
+        mp = MultiPoly.from_collected(
+            ("x",), {(i,): _sqrt2_coeff(a, b) for i, (a, b) in enumerate(pairs)})
+        # domain([b, a]) is a + b*sqrt(2)
+        return mp, sp.Poly.from_list([domain([b, a]) for a, b in reversed(pairs)],
+                                     x, domain=domain)
+
+    (h, hs), (m, ms), (k, ks) = (both(p) for p in case)
+    f, fs = h * k, hs * ks
+    defining, ds = h * m, hs * ms
+    shared = fs.gcd(ds)
+    for root in real_roots(poly_to_coeffs(defining, "x")):
+        s = sign_at_root(f, root, "x")
+        if isinstance(root, Fraction):
+            r = sp.Rational(root.numerator, root.denominator)
+            assert (s == 0) == (shared.eval(r) == 0)
+            assert s == sp.sign(fs.eval(r))
+            continue
+        lo, hi = (sp.Rational(v.numerator, v.denominator) for v in (root.lo, root.hi))
+        assert (s == 0) == (shared.degree() > 0 and shared.count_roots(lo, hi) > 0)
+        if s != 0:
+            z = _bisect(sp.lambdify(x, ds.sqf_part().as_expr(), "mpmath"), root)
+            value = fs.as_expr().evalf(50, subs={x: sp.Float(z, 80)})
+            assert s == (1 if value > 0 else -1)
+
+
+def _bisect(fn, root: IsolatingInterval):
+    """The point in (root.lo, root.hi) where fn changes sign, to 80 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        lo, hi = (mpmath.mpf(v.numerator) / v.denominator for v in (root.lo, root.hi))
+        at_lo = fn(lo) > 0
+        for _ in range(280):
+            mid = (lo + hi) / 2
+            if (fn(mid) > 0) == at_lo:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@pytest.mark.parametrize("call", [
+    lambda: isolate_real_roots(parse_poly("x^2-2"), "y"),
+    lambda: poly_to_coeffs(parse_poly("x^2-2", ("x", "y")), "y"),
+    lambda: sign_at_root(parse_poly("x^2-2"),
+                         real_roots([Fraction(-2), Fraction(0), Fraction(1)])[1], "y"),
+], ids=["isolate", "poly_to_coeffs", "sign_at_root"])
+def test_polynomial_in_another_variable_is_rejected(call):
+    with pytest.raises(ValueError, match=r"x\^2-2 is not a polynomial in y"):
+        call()
 
 
 def _euclid(a, b):

@@ -13,17 +13,18 @@ P the degree-k part of F H_x + G H_y with F, G the nonlinear terms of the
 field, in two sweeps: with c_i the coefficient of x^i y^(k-i), the equation
 there is (k-i+1) c_(i-1) - (i+1) c_(i+1) + P_i = L [i = k].  The odd c_i
 run forward from c_(-1) = 0, and at even k the last equation gives L; the
-even c_i run back from c_(k+1) = 0, or at even k from the pinned one.
-The top degree k = 2N+2 stores nothing: the circle mean of
+even c_i run from the pinned one at even k, else back from c_(k+1) = 0.
+Each P_i is summed from the stored degrees when its sweep reaches it.
+The top two degrees are never stored: the circle mean of
 (x d/dy - y d/dx) h is zero, so L_N = sum of (i-1)!! (j-1)!! / (k-1)!! P_ij
-over even i, j, summed straight from the products.
+over even i, j at k = 2N+2, to which each c_i of degree 2N+1 adds its
+products with F_2 and G_2 as it is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import prod
 from typing import Optional, Sequence
 
@@ -155,17 +156,25 @@ def _circle_weight(i: int, j: int) -> Fraction:
                     prod(range(i + j - 1, 0, -2)))
 
 
-def _sweep(k: int, rhs: dict, pin: str, zero: MultiPoly):
-    """({(i, k-i): c_i}, L or None) solving (x d/dy - y d/dx) h + rhs = L x^k."""
-    P = [rhs.get((i, k - i), zero) for i in range(k + 1)]
-    c: dict = {}  # c_i by x-exponent i; absent means zero
-    low_pin = k % 2 == 0 and pin == "c0k"
-    for i in chain(range(0, k, 2), range(1, k, 2) if low_pin else ()):
-        c[i + 1] = (c.get(i - 1, zero) * (k - i + 1) + P[i]) / (i + 1)
-    for i in () if low_pin else range(k - 1 + k % 2, 0, -2):
-        c[i - 1] = (c.get(i + 1, zero) * (i + 1) - P[i]) / (k - i + 1)
-    L = c[k - 1] + P[k] if k % 2 == 0 else None
-    return {(i, k - i): v for i, v in c.items() if v}, L
+def _sweep(k: int, coeff, pin: str, zero: MultiPoly):
+    """Yield (i, c_i) of the h solving (x d/dy - y d/dx) h + P = L x^k, chain
+    by chain; coeff(i) gives P_i and is asked for once, when its chain needs
+    it.  At even k, (None, L) follows the first chain."""
+    c = zero
+    for i in range(0, k, 2):  # odd c_(i+1) forward from c_(-1) = 0
+        c = (c * (k - i + 1) + coeff(i)) / (i + 1)
+        yield i + 1, c
+    if k % 2 == 0:
+        yield None, c + coeff(k)
+    c = zero  # even c_i: on from a pinned c_0, or back from c_(k+1) or c_k = 0
+    if k % 2 == 0 and pin == "c0k":
+        for i in range(1, k, 2):
+            c = (c * (k - i + 1) + coeff(i)) / (i + 1)
+            yield i + 1, c
+    else:
+        for i in range(k - 1 + k % 2, 0, -2):
+            c = (c * (i + 1) - coeff(i)) / (k - i + 1)
+            yield i - 1, c
 
 
 def lyapunov_quantities(
@@ -217,37 +226,45 @@ def lyapunov_quantities(
                    for u in range(-1, s + 1)] for s in range(2, top + 1)}
     series = {2: {(2, 0): one, (0, 2): one}}  # h_m as {(i, j): coefficient}
 
-    def products(k: int):
-        """(monomial, c, w): the c * w sum to the degree-k part of F*H_x + G*H_y."""
-        for s, offs in offsets.items():
-            for (i, j), c in series.get(k + 1 - s, {}).items():
-                for (u, v), f, g in offs:
-                    w = (f * i if f and i else zero) + (g * j if g and j else zero)
-                    if w:
-                        yield (i + u, j + v), c, w
+    def factor(f, g, i: int, j: int) -> MultiPoly:
+        return (f * i if f and i else zero) + (g * j if g and j else zero)
 
-    def rhs(k: int) -> dict:
-        out: dict = {}
-        for mon, c, w in products(k):
-            t = trunc(c * w)
-            out[mon] = out[mon] + t if mon in out else t
-        return out
+    def coeff(k: int, i: int) -> MultiPoly:
+        """P_i of degree k, summed from the few sources that `offsets` names."""
+        j = k - i
+        terms = (trunc(c * w) for s, offs in offsets.items() for (u, v), f, g in offs
+                 if (c := series.get(k + 1 - s, {}).get((i - u, j - v)))
+                 and (w := factor(f, g, i - u, j - v)))
+        return sum(terms, next(terms, zero))
+
+    def circle(L: MultiPoly, s: int, i: int, j: int, c: MultiPoly) -> MultiPoly:
+        """L plus the circle means of the even-even products of c x^i y^j."""
+        for (u, v), f, g in offsets[s]:
+            if (i + u) % 2 == 0 == (j + v) % 2 and (w := factor(f, g, i, j)):
+                L = L + trunc(c * w) * _circle_weight(i + u, j + v)
+        return L
 
     max_degree = 2 * count + 2
     quantities: list = []
-    for k in range(3, max_degree + 1):
-        if k < max_degree:
-            series[k], Lk = _sweep(k, rhs(k), pin, zero)
-        else:  # nothing of the top degree is stored
-            Lk = zero
-            for (i, j), c, w in products(k):
-                if i % 2 == 0 and j % 2 == 0:
-                    Lk = Lk + trunc(c * w) * _circle_weight(i, j)
-        if k % 2 == 0:
-            if quantity_scale != 1:
-                Lk = Lk * (Fraction(1) / quantity_scale ** (k // 2 - 1))
-            quantities.append(Lk)
+    L_top = zero  # L_N; degree 2N+1 goes into it as it is solved
+    for k in range(3, max_degree):
+        series[k] = h = {}  # stays empty at 2N+1
+        for i, c in _sweep(k, lambda i: coeff(k, i), pin, zero):
+            if i is None:
+                quantities.append(c)
+            elif k == max_degree - 1:
+                L_top = circle(L_top, 2, i, k - i, c)
+            elif c:
+                h[i, k - i] = c
         series.pop(k + 1 - top, None)  # no later degree reads it
+    if count:  # the top degree adds its products with degrees 2N and below
+        for s in range(3, top + 1):
+            for (i, j), c in series.get(max_degree + 1 - s, {}).items():
+                L_top = circle(L_top, s, i, j, c)
+        quantities.append(L_top)
+    if quantity_scale != 1:
+        quantities = [L * (Fraction(1) / quantity_scale ** n)
+                      for n, L in enumerate(quantities, start=1)]
     return LyapunovReport(quantities=quantities, pinned=pin, parameters=params)
 
 

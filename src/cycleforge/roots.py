@@ -327,9 +327,8 @@ def refine(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
         mid = (lo + hi) / 2
         sm = scalar_sign(horner(iv.poly, mid))
         if sm == 0:
-            # rational hit: shrink asymmetrically to keep an open certificate
-            off = (hi - lo) / 4
-            return _certified(iv.poly, mid - off, mid + off)
+            # rational hit: hi - lo > width, so this box lies inside (lo, hi)
+            return _certified(iv.poly, mid - width / 2, mid + width / 2)
         if sm == slo:
             lo = mid
         else:

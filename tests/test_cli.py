@@ -263,10 +263,17 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def _light_canned():
-    """(label, argv) of the quick canned commands with reference reports."""
-    cmds = [(f"bifurcate-{p}", ["bifurcate", "--prop", p])
-            for p in ("P7", "P8", "P9b", "T1c", "P9c")]
+def _canned():
+    """(label, argv) of the canned commands with reference reports."""
+    cmds = [
+        ("lyap-P5-N5", ["lyap", "--family", "P5", "--N", "5"]),
+        ("lyap-P4-N6", ["lyap", "--family", "P4", "--N", "6"]),
+        ("eliminate-P4-N5", ["eliminate", "--family", "P4", "--N", "5",
+                             "--order", "a11,a02,b20", "--bound", "2"]),
+        ("lyap-P4-N2", ["lyap", "--family", "P4", "--N", "2"]),
+    ]
+    cmds += [(f"bifurcate-{p}", ["bifurcate", "--prop", p])
+             for p in ("P7", "P8", "P9b", "T1c", "P9c")]
     strata = [("P4", c) for c in sorted(fields.P4_CONDITIONS)]
     strata += [("P5", c) for c in sorted(fields.P5_CONDITIONS)]
     for fam, cond in strata:
@@ -279,8 +286,8 @@ def _light_canned():
     return cmds
 
 
-@pytest.mark.parametrize("label, argv", _light_canned(),
-                         ids=[label for label, _ in _light_canned()])
+@pytest.mark.parametrize("label, argv", _canned(),
+                         ids=[label for label, _ in _canned()])
 def test_canned_report_is_byte_identical(tmp_path, label, argv):
     dst = tmp_path / "report.json"
     assert main(argv + ["--out", str(dst)]) == 0

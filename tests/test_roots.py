@@ -97,6 +97,16 @@ def test_refine_narrows_with_certificate():
     assert narrow.poly == iv.poly == tuple(squarefree_part(coeffs))
 
 
+def test_refine_shrinks_a_rational_hit_to_the_width():
+    # the first bisection midpoint of the middle box is the root 0 itself
+    iv = isolate_real_roots(parse_poly("x^3-x"))[1]
+    narrow = refine(iv, Fraction(1, 10**9))
+    assert narrow.width() <= Fraction(1, 10**9)
+    assert narrow.lo < 0 < narrow.hi
+    assert narrow.sign_change_certificate == iv.sign_change_certificate
+    assert narrow.poly == iv.poly
+
+
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 3)])
 def test_refine_rejects_a_width_that_is_not_positive(width):
     iv = real_roots(poly_to_coeffs(parse_poly("x^2 - 2"), "x"))[1]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .fields import VectorField
-from .linalg import ExactMatrix, determinant, rank
+from .linalg import ExactMatrix, echelon
 from .lyapunov import linear_parts_in, lyapunov_quantities, normalize_at
 from .poly import MultiPoly, format_poly, parse_poly
 from .resultants import multivariate_gcd, normalize_unit
@@ -77,14 +77,6 @@ def ratfunc(num: MultiPoly, den: Optional[MultiPoly] = None) -> RatFunc:
     if c != 1:
         num = num * inverse(c)
     return RatFunc(num, nd)
-
-
-def _rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return ratfunc(a.num * b.den + b.num * a.den, a.den * b.den)
-
-
-def _rf_mul_poly(a: RatFunc, p: MultiPoly) -> RatFunc:
-    return ratfunc(a.num * p, a.den)
 
 
 # -- perturbation setup ------------------------------------------------------------
@@ -214,7 +206,7 @@ def p9_setup() -> PerturbationSetup:
     )
 
 
-CANNED_SETUPS = {"P7": p7_setup, "P8": p8_setup, "P9b": p9_setup, "P9c": p9_setup}
+CANNED_SETUPS = {"P7": p7_setup, "P8": p8_setup, "P9b": p9_setup, "T1c": p9_setup}
 
 
 # -- analysis -----------------------------------------------------------------------
@@ -273,13 +265,13 @@ class GGTReport:
         return out
 
 
-def _fail(k, point, symmetric, reason, **extra) -> GGTReport:
+def _fail(k, point, symmetric, reason, *, M=(), g=(), f=(), A=(), quantities=(),
+          candidates=(), mu_symbol=None) -> GGTReport:
     return GGTReport(
-        k=k, l=None, M=extra.get("M", []), g_coeffs=extra.get("g", []),
-        f_funcs=extra.get("f", []), mu0=None, candidates=[],
-        verdict=("conditions_fail", reason), point=point,
-        symmetric=symmetric, mu_symbol=extra.get("mu_symbol"),
-        linear_matrix=extra.get("A", []), quantities=extra.get("quantities", []),
+        k=k, l=None, M=list(M), g_coeffs=list(g), f_funcs=list(f), mu0=None,
+        candidates=list(candidates), verdict=("conditions_fail", reason),
+        point=point, symmetric=symmetric, mu_symbol=mu_symbol,
+        linear_matrix=list(A), quantities=list(quantities),
     )
 
 
@@ -309,7 +301,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     )
     A = linear_parts_in(rep, setup.lambda_symbols)
     rest_vars = A[0][0].variables if A else ()
-    k = rank(ExactMatrix(A))
+    k = len(echelon(ExactMatrix(A))[2])
     common = dict(A=A, quantities=rep.quantities)
     if k == 0:
         return _fail(0, point, symmetric, "all linear parts vanish identically", **common)
@@ -320,59 +312,41 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
         return _fail(k, point, symmetric,
                      f"kernel dimension {p - k + 1} of the leading rows is not 1",
                      **common)
+
+    # One reduction of [B | I], B the leading k-1 rows, gives R = d·B_P⁻¹·[B | I]:
+    # the kernel direction of B from the one non-pivot column n, and the
+    # inverse of the pivot block from the I block.
+    zero, one = MultiPoly.zero(rest_vars), MultiPoly.const(1, rest_vars)
     B = A[: k - 1]
-    pivots: list = []
-    if B and rank(ExactMatrix(B), pivots) != k - 1:
+    _, d, pivots, R = echelon(ExactMatrix(
+        [row + [one if j == i else zero for j in range(k - 1)]
+         for i, row in enumerate(B)]))
+    if any(c >= p for c in pivots):
         return _fail(k, point, symmetric,
                      "leading rows of the linear-part matrix are dependent", **common)
-
-    one = MultiPoly.const(1, rest_vars)
-    # kernel direction of the leading rows, by signed maximal minors
-    if k == 1:
-        m_polys = [one]
-    else:
-        m_polys = []
-        for c in range(p):
-            minor = [[B[r][cc] for cc in range(p) if cc != c] for r in range(k - 1)]
-            d = determinant(ExactMatrix(minor))
-            m_polys.append(-d if c % 2 else d)
-        for r in range(k - 1):
-            chk = MultiPoly.zero(rest_vars)
-            for c in range(p):
-                chk = chk + B[r][c] * m_polys[c]
-            if not chk.is_zero():
-                raise AssertionError("kernel vector verification failed")
+    d = one * d  # Fraction(1) when B is empty (k = 1)
+    n = next(c for c in range(p) if c not in pivots)
+    m_polys = [zero] * p
+    m_polys[n] = d
+    for row, c in zip(R, pivots):
+        m_polys[c] = -row[n]
+    for row in B:
+        if not sum((a * m for a, m in zip(row, m_polys)), zero).is_zero():
+            raise AssertionError("kernel vector verification failed")
     last = max(c for c in range(p) if not m_polys[c].is_zero())
-    m = [ratfunc(m_polys[c], m_polys[last]) for c in range(p)]
 
-    # reparametrization matrix: columns 0..k-2 invert the pivot submatrix,
-    # the last column is the kernel direction
-    zero_rf = ratfunc(MultiPoly.zero(rest_vars))
-    M = [[zero_rf for _ in range(k)] for _ in range(p)]
-    if k > 1:
-        sub = [[B[r][c] for c in pivots] for r in range(k - 1)]
-        det = determinant(ExactMatrix(sub))
-        if det.is_zero():
-            return _fail(k, point, symmetric, "pivot submatrix is singular", **common)
-        for j in range(k - 1):
-            for r in range(k - 1):
-                minor = [
-                    [sub[rr][cc] for cc in range(k - 1) if cc != r]
-                    for rr in range(k - 1) if rr != j
-                ]
-                cof = determinant(ExactMatrix(minor)) if k > 2 else one
-                if (r + j) % 2:
-                    cof = -cof
-                M[pivots[r]][j] = ratfunc(cof, det)
-    for c in range(p):
-        M[c][k - 1] = m[c]
+    # reparametrization matrix M = Mnum / col_den, column by column: columns
+    # 0..k-2 invert the pivot submatrix, the last column is the kernel direction
+    Mnum = [[zero] * (k - 1) + [m] for m in m_polys]
+    for row, c in zip(R, pivots):
+        Mnum[c][: k - 1] = row[p:]
+    col_den = [d] * (k - 1) + [m_polys[last]]
+    M = [[ratfunc(e, den) for e, den in zip(row, col_den)] for row in Mnum]
 
     # transformed matrix T = A * M; rows below the identity block carry g and f
     T = [
-        [
-            _reduce_sum([_rf_mul_poly(M[c][j], A[r][c]) for c in range(p)])
-            for j in range(k)
-        ]
+        [ratfunc(sum((A[r][c] * Mnum[c][j] for c in range(p)), zero), col_den[j])
+         for j in range(k)]
         for r in range(len(A))
     ]
     for j in range(k - 1):
@@ -438,15 +412,10 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
         candidates.append(cand)
 
     if chosen is None:
-        return _fail(k, point, symmetric,
-                     "no admissible simple zero of f_0 found",
-                     **common) if not candidates else GGTReport(
-            k=k, l=None, M=M, g_coeffs=g_coeffs, f_funcs=f_funcs, mu0=None,
-            candidates=candidates,
-            verdict=("conditions_fail", candidates[0].get("reason", "no valid candidate")),
-            point=point, symmetric=symmetric, mu_symbol=mu,
-            linear_matrix=A, quantities=rep.quantities,
-        )
+        reason = (candidates[0]["reason"] if candidates
+                  else "no admissible simple zero of f_0 found")
+        return _fail(k, point, symmetric, reason, candidates=candidates,
+                     mu_symbol=mu, **common)
     ell = chosen["l"]
     return GGTReport(
         k=k, l=ell, M=M, g_coeffs=g_coeffs, f_funcs=f_funcs,
@@ -455,13 +424,6 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
         point=point, symmetric=symmetric, mu_symbol=mu,
         linear_matrix=A, quantities=rep.quantities,
     )
-
-
-def _reduce_sum(items: list) -> RatFunc:
-    total = items[0]
-    for it in items[1:]:
-        total = _rf_add(total, it)
-    return total
 
 
 def hopf_order_one(

@@ -10,7 +10,6 @@ independently of how they were found.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -68,7 +67,7 @@ def divergence(field: VectorField) -> MultiPoly:
 class CenterCertificate:
     kind: str  # "reversible" | "darboux" | "separable" | "none"
     line: Optional[str] = None
-    factors: Optional[list] = None  # [(MultiPoly, Fraction exponent)]
+    factors: Optional[list] = None  # [(MultiPoly, scalar exponent)]
     witness: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -119,13 +118,12 @@ def darboux_search(
     sol = solve_linear_exact(A, b)
     if sol.kind == "inconsistent":
         return None
-    lams = [Fraction(v) if not isinstance(v, Fraction) else v for v in sol.solution]
     residual = div
-    for K, lam in zip(cofs, lams):
+    for K, lam in zip(cofs, sol.solution):
         residual = residual + K * lam
     if not residual.is_zero():
         return None
-    factors = [(F, lam) for F, lam in zip(kept, lams)]
+    factors = list(zip(kept, sol.solution))
     return CenterCertificate(
         kind="darboux",
         factors=factors,

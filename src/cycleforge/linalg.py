@@ -1,9 +1,12 @@
 """Exact dense linear algebra over scalars and polynomial entries.
 
-Determinants and ranks share one fraction-free (Bareiss) elimination, so
-polynomial entries never leave the ring.  ``solve_linear_exact`` solves a
-constant scalar matrix against a scalar or polynomial right-hand side (the
-Darboux cofactor systems of ``centers``).
+One fraction-free Gauss–Jordan (Bareiss) reduction, ``echelon``, serves
+every caller, so polynomial entries never leave the ring: its pivot count is
+the rank, its last pivot gives the determinant, and reducing [A | b] solves
+A x = b.  ``solve_linear_exact`` solves a constant scalar matrix against a
+scalar or polynomial right-hand side (the Darboux cofactor systems of
+``centers``); ``bifurcation`` reduces [B | I] for a kernel vector and the
+inverse of the pivot block.
 """
 
 from __future__ import annotations
@@ -62,18 +65,24 @@ class ExactMatrix:
         return f"ExactMatrix({self.entries!r})"
 
 
-def _echelon(A: ExactMatrix) -> tuple:
-    """Fraction-free (Bareiss) forward elimination on a copy of A.
+def echelon(A: ExactMatrix) -> tuple:
+    """Fraction-free Gauss–Jordan (Bareiss) reduction of a copy of A.
 
-    Each column pivots on its first nonzero entry at or below the current
-    row and is skipped when it has none.  After r pivots every remaining
-    entry is an (r+1)-minor of A, so the division by the previous pivot (an
-    r-minor) is exact by Sylvester's identity and entries stay in the ring
-    of A's entries.  Returns (sign of the row permutation, last pivot,
-    pivot columns left to right).
+    Pivots are taken left to right, each on the first nonzero entry at or
+    below the current row; a column with none is skipped, so column c is a
+    pivot exactly when it is not in the span of the columns before it.  For
+    a pivot p at (r, c) every other row i becomes (p·m[i] − m[i][c]·m[r]) /
+    prev, prev the previous pivot (1 at first).  Every entry is then a minor
+    of A up to sign, so the division is exact and entries stay in the ring
+    of A's entries.
+
+    Returns (sign, d, pivots, rows): the sign of the row permutation, the
+    last pivot d (± the minor of the pivot block, 1 when there is none), the
+    pivot columns left to right, and the first len(pivots) reduced rows,
+    which equal d·A_P⁻¹·A for the pivot block A_P.
     """
     m = [row[:] for row in A.entries]
-    sign, prev, pivots = 1, Fraction(1), []
+    sign, d, pivots = 1, Fraction(1), []
     for c in range(A.cols):
         r = len(pivots)
         if r == A.rows:
@@ -84,16 +93,18 @@ def _echelon(A: ExactMatrix) -> tuple:
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
             sign = -sign
-        for i in range(r + 1, A.rows):
-            for j in range(c + 1, A.cols):
-                m[i][j] = _exact_div(m[i][j] * m[r][c] - m[i][c] * m[r][j], prev)
-        prev = m[r][c]
+        p, top = m[r][c], m[r]
+        for i in range(A.rows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [_exact_div(p * x - f * y, d) for x, y in zip(m[i], top)]
+        d = p
         pivots.append(c)
-    return sign, prev, pivots
+    return sign, d, pivots, m[:len(pivots)]
 
 
 def determinant(A: ExactMatrix) -> Entry:
-    """Exact determinant via Bareiss fraction-free elimination.
+    """Exact determinant: the signed last pivot of ``echelon``.
 
     Works for scalar entries and for polynomial entries.  A singular matrix
     gives the zero of its entry ring (a MultiPoly zero when any entry is a
@@ -101,26 +112,11 @@ def determinant(A: ExactMatrix) -> Entry:
     """
     if not A.is_square():
         raise ValueError("determinant of a non-square matrix")
-    if A.rows == 0:
-        return Fraction(1)
-    sign, det, pivots = _echelon(A)
+    sign, d, pivots, _ = echelon(A)
     if len(pivots) < A.rows:
         return next((MultiPoly.zero(x.variables) for row in A.entries
                      for x in row if isinstance(x, MultiPoly)), Fraction(0))
-    return -det if sign < 0 else det
-
-
-def rank(A: ExactMatrix, pivots: Optional[list] = None) -> int:
-    """Rank over the fraction field of the entry ring; any shape.
-
-    When ``pivots`` is a list, the pivot columns are appended to it left to
-    right: column c is a pivot exactly when it is not in the span of the
-    columns before it.
-    """
-    found = _echelon(A)[2]
-    if pivots is not None:
-        pivots.extend(found)
-    return len(found)
+    return -d if sign < 0 else d
 
 
 @dataclass
@@ -129,61 +125,33 @@ class LinearSolution:
 
     kind is "unique", "parametrized" or "inconsistent".  For solvable
     systems ``solution`` holds one solution with every free variable pinned
-    to zero; ``free_indices`` lists the pinned unknowns.  For inconsistent
-    systems ``failing_rows`` lists the original equation indices that
-    reduce to 0 = nonzero.
+    to zero; ``free_indices`` lists the pinned unknowns.  An inconsistent
+    system has no ``solution``.
     """
 
     kind: str
     solution: Optional[list] = None
     free_indices: list = field(default_factory=list)
-    failing_rows: list = field(default_factory=list)
 
 
 def solve_linear_exact(A: ExactMatrix, b: Sequence[Entry]) -> LinearSolution:
     """Solve A x = b with constant scalar A and scalar/polynomial b.
 
-    Gaussian elimination over the coefficient field; the right-hand side may
-    contain polynomials in parameters.  Columns are searched for pivots left
-    to right, so an unknown is free when its column lies in the span of the
-    columns before it.
+    Reduces [A | b] with ``echelon``: the system is inconsistent exactly when
+    the b column gets a pivot.  Otherwise each pivot unknown is its row's
+    last entry over the last pivot, and an unknown is free (pinned to zero)
+    when its column lies in the span of the columns before it.
     """
     if A.rows != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
-    n, m = A.rows, A.cols
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row]
-            for row in A.entries]
-    rhs = list(b)
-    pivot_of_col: dict = {}
-    used_rows: list = []
-    row_origin = list(range(n))
-    r = 0
-    for col in range(m):
-        pr = next((i for i in range(r, n) if not _entry_zero(rows[i][col])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rhs[r], rhs[pr] = rhs[pr], rhs[r]
-        row_origin[r], row_origin[pr] = row_origin[pr], row_origin[r]
-        inv = inverse(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(n):
-            if i != r and not _entry_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [a - factor * p for a, p in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - factor * rhs[r]
-        pivot_of_col[col] = r
-        used_rows.append(r)
-        r += 1
-        if r == n:
-            break
-    failing = [row_origin[i] for i in range(r, n) if not _entry_zero(rhs[i])]
-    if failing:
-        return LinearSolution(kind="inconsistent", failing_rows=failing)
-    free = [c for c in range(m) if c not in pivot_of_col]
-    x: list = [Fraction(0)] * m
-    for col, prow in pivot_of_col.items():
-        x[col] = rhs[prow]
+    n = A.cols
+    _, d, pivots, rows = echelon(
+        ExactMatrix([row + [rhs] for row, rhs in zip(A.entries, b)]))
+    if n in pivots:
+        return LinearSolution(kind="inconsistent")
+    x: list = [Fraction(0)] * n
+    for c, row in zip(pivots, rows):
+        x[c] = _exact_div(row[n], d)
+    free = [c for c in range(n) if c not in pivots]
     kind = "unique" if not free else "parametrized"
     return LinearSolution(kind=kind, solution=x, free_indices=free)

@@ -10,6 +10,7 @@ resultants, and keep the stripped remainders as the next stage's system.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -30,8 +31,6 @@ def normalize_unit(p: MultiPoly) -> MultiPoly:
     if any(isinstance(c, QuadExt) and c.b != 0 for c in coeffs):
         _, lead = p.leading()
         return p * inverse(lead)
-    import math
-
     fracs = [c.a if isinstance(c, QuadExt) else Fraction(c) for c in coeffs]
     den = 1
     for c in fracs:
@@ -273,8 +272,6 @@ def gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
 
 def _linear_candidates(variables: tuple, bound: int):
     """Primitive integer linear forms c0 + sum ci vi, deduplicated up to sign."""
-    import math
-
     span = range(-bound, bound + 1)
     for coeffs in itertools.product(span, repeat=len(variables) + 1):
         c0, cv = coeffs[0], coeffs[1:]
@@ -310,6 +307,16 @@ def _candidate_filter_point(p: MultiPoly, cand: tuple, variables: tuple, salt: i
     return is_zero(p.eval_scalar(point))
 
 
+def _divide_out(p: MultiPoly, f: MultiPoly) -> tuple:
+    """(quotient, multiplicity): divide p by f as often as f divides exactly."""
+    mult = 0
+    while True:
+        q = p.exact_div(f)
+        if q is None:
+            return p, mult
+        p, mult = q, mult + 1
+
+
 def extract_linear_factors(p: MultiPoly, coeff_bound: int = 4):
     """All integer linear-form factors with |coefficients| <= coeff_bound.
 
@@ -336,13 +343,7 @@ def extract_linear_factors(p: MultiPoly, coeff_bound: int = 4):
         for c, v in zip(cand[1:], variables):
             if c:
                 form = form + MultiPoly.var(v, variables) * Fraction(c)
-        mult = 0
-        while True:
-            q = rem.exact_div(form)
-            if q is None:
-                break
-            mult += 1
-            rem = q
+        rem, mult = _divide_out(rem, form)
         if mult:
             factors.append((form, mult))
     return factors, rem
@@ -409,23 +410,11 @@ def _factor_stage_poly(r: MultiPoly, shared: MultiPoly, bound: int):
     if not shared.is_constant():
         lin_shared, core = extract_linear_factors(shared, bound)
         for f, m in lin_shared:
-            total = 0
-            while True:
-                q = rem.exact_div(f)
-                if q is None:
-                    break
-                rem = q
-                total += 1
+            rem, total = _divide_out(rem, f)
             if total:
                 factors.append((f, total))
         if not core.is_constant():
-            total = 0
-            while True:
-                q = rem.exact_div(core)
-                if q is None:
-                    break
-                rem = q
-                total += 1
+            rem, total = _divide_out(rem, core)
             if total:
                 factors.append((normalize_unit(core), total))
     extra, rem = extract_linear_factors(rem, bound)
@@ -482,10 +471,8 @@ def cascade(system: Sequence[MultiPoly], elimination_order: Sequence[str],
                     mmin = min(mmin, match)
                 if mmin:
                     common.append((f, mmin))
-        lead = first.coeff_of(var, first.degree_in(var)) if first.degree_in(var) not in (MINUS_INF,) else None
-        branch = None
-        if lead is not None and not lead.is_constant():
-            branch = _drop_var(lead, var)
+        lead = first.coeff_of(var, _deg(first, var))
+        branch = None if lead.is_constant() else _drop_var(lead, var)
         trace = EliminationTrace(
             stage=stage,
             eliminated_variable=var,

@@ -111,3 +111,34 @@ def test_report_json_round_trips():
     data = json.loads(text)
     assert data["verdict"] == {"kind": "k_plus_ell_cycles", "count": 3}
     assert data["k"] == 2 and data["l"] == 1
+
+
+def _sym(sympy, p):
+    syms = [sympy.Symbol(v) for v in p.variables]
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s**e for s, e in zip(syms, exp)])
+                       for exp, c in p.terms.items()])
+
+
+def test_p8_reparametrization_matches_sympy_inverse_and_kernel():
+    sympy = pytest.importorskip("sympy")
+    rep = ggt_analyze(p8_setup())
+    k = rep.k
+    assert k == 4
+    B = sympy.Matrix([[_sym(sympy, e) for e in row]
+                      for row in rep.linear_matrix[: k - 1]])
+    _, pivots = B.rref(simplify=True)
+    inv = B[:, list(pivots)].inv()
+    (kernel,) = B.nullspace(simplify=True)
+    last = max(c for c in range(len(kernel)) if sympy.cancel(kernel[c]) != 0)
+
+    def same(rf, expr):
+        # rf.num / rf.den == a / b, by cross-multiplication
+        a, b = sympy.fraction(sympy.cancel(expr))
+        return sympy.expand(_sym(sympy, rf.num) * b - _sym(sympy, rf.den) * a) == 0
+
+    for c, row in enumerate(rep.M):
+        for j in range(k - 1):
+            want = inv[pivots.index(c), j] if c in pivots else 0
+            assert same(row[j], want)
+        assert same(row[k - 1], kernel[c] / kernel[last])

@@ -1,11 +1,11 @@
-"""Fraction-free determinants and exact linear solving."""
+"""Fraction-free Gauss–Jordan reduction, determinants and exact linear solving."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from cycleforge.linalg import ExactMatrix, determinant, rank, solve_linear_exact
+from cycleforge.linalg import ExactMatrix, determinant, echelon, solve_linear_exact
 from cycleforge.poly import MultiPoly, parse_poly
 
 
@@ -79,40 +79,70 @@ def test_rank_and_pivots_match_sympy():
     for _ in range(40):
         rows = _random_rank_deficient(
             rng, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        pivots: list = []
-        r = rank(ExactMatrix(rows), pivots)
-        _, sym_pivots = sympy.Matrix(rows).rref()
-        assert r == sympy.Matrix(rows).rank() == len(sym_pivots)
+        _, d, pivots, reduced = echelon(ExactMatrix(rows))
+        rref, sym_pivots = sympy.Matrix(rows).rref()
+        assert len(pivots) == sympy.Matrix(rows).rank() == len(sym_pivots)
         assert pivots == list(sym_pivots)
+        # the pivot rows are d times the reduced row echelon form
+        assert [[sympy.Rational(e.numerator, e.denominator) for e in row]
+                for row in reduced] == [
+            [sympy.Rational(d.numerator, d.denominator) * e for e in rref.row(i)]
+            for i in range(len(pivots))]
+
+
+def _random_poly_entry(rng, vs):
+    monomials = [parse_poly(m, vs) for m in ("1", "s", "t", "s*t", "t^2")]
+    return lambda: sum((m * Fraction(rng.randint(-2, 2)) for m in monomials),
+                       MultiPoly.zero(vs))
 
 
 def test_polynomial_rank_matches_specializations():
     rng = random.Random(23)
     vs = ("s", "t")
-    monomials = [parse_poly(m, vs) for m in ("1", "s", "t", "s*t", "t^2")]
-
-    def entry():
-        return sum((m * Fraction(rng.randint(-2, 2)) for m in monomials),
-                   MultiPoly.zero(vs))
-
+    entry = _random_poly_entry(rng, vs)
     for _ in range(15):
         rows = _random_rank_deficient(rng, entry)
-        pivots: list = []
-        r = rank(ExactMatrix(rows), pivots)
+        pivots = echelon(ExactMatrix(rows))[2]
         for _ in range(3):
             at = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for v in vs}
             spec = [[e.eval_scalar(at) for e in row] for row in rows]
-            spec_pivots: list = []
-            assert rank(ExactMatrix(spec), spec_pivots) == r
-            assert spec_pivots == pivots
+            assert echelon(ExactMatrix(spec))[2] == pivots
+
+
+def _at(e, at):
+    return e.eval_scalar(at) if isinstance(e, MultiPoly) else e
+
+
+def test_polynomial_echelon_specializes_to_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    vs = ("s", "t")
+    entry = _random_poly_entry(rng, vs)
+    checked = 0
+    for _ in range(15):
+        rows = _random_rank_deficient(rng, entry)
+        _, d, pivots, reduced = echelon(ExactMatrix(rows))
+        for _ in range(3):
+            at = {v: Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for v in vs}
+            d_at = _at(d, at)
+            if d_at == 0:
+                continue
+            rref, sym_pivots = sympy.Matrix(
+                [[e.eval_scalar(at) for e in row] for row in rows]).rref()
+            # d(at) != 0 keeps the generic pivot block independent at the point
+            assert list(sym_pivots) == pivots
+            want = [[d_at * Fraction(int(x.p), int(x.q)) for x in rref.row(i)]
+                    for i in range(len(pivots))]
+            assert [[_at(e, at) for e in row] for row in reduced] == want
+            checked += 1
+    assert checked >= 40
 
 
 def test_rank_skips_zero_column():
     A = ExactMatrix([[Fraction(0), Fraction(1), Fraction(2)],
                      [Fraction(0), Fraction(2), Fraction(4)],
                      [Fraction(0), Fraction(0), Fraction(1)]])
-    pivots: list = []
-    assert rank(A, pivots) == 2 and pivots == [1, 2]
+    assert echelon(A)[2] == [1, 2]
     assert determinant(A) == 0
 
 
@@ -131,10 +161,10 @@ def test_solve_unique_by_substitution():
         assert sol.kind == "unique" and sol.solution == x
 
 
-def test_solve_inconsistent_reports_rows():
+def test_solve_inconsistent_has_no_solution():
     A = ExactMatrix([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
     sol = solve_linear_exact(A, [Fraction(1), Fraction(3)])
-    assert sol.kind == "inconsistent" and sol.failing_rows
+    assert sol.kind == "inconsistent" and sol.solution is None
 
 
 def test_column_order_controls_free_unknowns():

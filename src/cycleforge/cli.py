@@ -114,7 +114,7 @@ def _parse_binding(spec: str | None, fam: fields.VectorField) -> dict:
         name, val = part.split("=", 1)
         try:
             out[name.strip()] = Fraction(val.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise InputError(f"bad rational value {val!r} for {name.strip()!r}")
     _check_parameters("--bind", out, fam)
     unbound = [v for v in fam.parameters if v not in out]
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, PolyParseError, ValueError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 3 if isinstance(e, dynamics.DegenerateElimination) else 2
+        return 2
     except Exception as e:
         message = " ".join(str(e).split())
         sys.stderr.write(f"internal error: {type(e).__name__}: {message}\n")

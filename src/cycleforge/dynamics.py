@@ -6,16 +6,18 @@ coordinates (x, y) = M·(u, t) in which f or g has a constant leading
 coefficient in u.  There Res_u(f, g)(t) vanishes identically exactly when
 f and g share a factor, and each of its real roots is the t of a common
 zero; a rational root is solved by the exact gcd of its two fibres, an
-irrational one by the first subresultant (a bivariate rational univariate
-representation: Rouillier 1999, González-Vega & El Kahoui 1996).  Every
-point is certified by exact back-substitution: no step relies on floating
-point, so determinant and trace signs (which the classification hinges
-on) are exact.
+irrational one by the k-th subresultant of least k not vanishing there (a
+bivariate rational univariate representation: Rouillier 1999; González-Vega
+& El Kahoui 1996; Bouzidi, Lazard, Pouget & Rouillier 2015).  Every point
+is certified by exact back-substitution: no step relies on floating point,
+so determinant and trace signs (which the classification hinges on) are
+exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -23,12 +25,7 @@ from typing import Mapping, Optional, Sequence
 from .centers import cofactor
 from .fields import VectorField, in_plane
 from .poly import MultiPoly, format_poly, parse_poly
-from .resultants import (
-    first_subresultant,
-    multivariate_gcd,
-    resultant,
-    substitute_ratio,
-)
+from .resultants import multivariate_gcd, resultant, subresultant, substitute_ratio
 from .roots import (
     IsolatingInterval,
     RatInterval,
@@ -41,11 +38,6 @@ from .roots import (
     sign_at_root,
 )
 from .scalars import scalar_sign
-
-
-class DegenerateElimination(ArithmeticError):
-    """Valid input with a common zero that no separating frame can
-    back-substitute: one singular on both components."""
 
 
 def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
@@ -91,11 +83,12 @@ class CertifiedPoint:
 
     s is a real root from `real_roots`: a rational, or an isolating
     interval that carries its square-free polynomial D(s).  The point is
-    M·(u, t) with u = -num(s)/den(s).  Either t = s, with num and den the
-    first subresultant's coefficients and D the square-free part of the
-    resultant, or t is the rational t0 and u = s is a root of the fibre
-    gcd.  The point is rational exactly when the root is; then it keeps
-    only its coordinates, `exact`.
+    M·(u, t) with u = -num(s)/den(s).  Either t = s, D is the square-free
+    part of the resultant, and num = S_k,k-1 and den = k*S_kk come from
+    the k-th subresultant S_k in u, whose fibre at s is S_kk*(u - u0)^k;
+    or t is the rational t0 and u = s is a root of the fibre gcd.  The
+    point is rational exactly when the root is; then it keeps only its
+    coordinates, `exact`.
     """
 
     __slots__ = ("frame", "root", "num", "den", "t0", "exact")
@@ -210,18 +203,16 @@ def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
     """All isolated common zeros of f and g as CertifiedPoints.
 
     Tries the frames in turn and uses the first one in which f or g has a
-    constant leading coefficient in u and the first subresultant is
-    nonzero at every irrational root of R(t) = Res_u(f, g).  A frame fails
-    only on a fibre that holds two common zeros, or a double one; those
-    rule out at most C(B, 2) + B directions (B = deg f * deg g, Bezout)
-    besides the at most max(deg) without a constant leading coefficient.
-    Only a common zero singular on both components, with no rational t in
-    any frame, defeats every frame.
+    constant leading coefficient in u and the fibre gcd at every
+    irrational root of R(t) = Res_u(f, g) has a single root.  A frame
+    fails only on a fibre that holds two common zeros; those rule out at
+    most C(B, 2) directions (B = deg f * deg g, Bezout) besides the at
+    most max(deg) without a constant leading coefficient.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("zero component has a non-isolated zero set")
     bezout = f.degree() * g.degree()
-    tries = bezout * (bezout - 1) // 2 + bezout + max(f.degree(), g.degree()) + 1
+    tries = bezout * (bezout - 1) // 2 + max(f.degree(), g.degree()) + 1
     for frame in itertools.islice(_frames(), tries):
         F, G = (_in_frame(h, frame) for h in (f, g))
         if not any(h.coeffs_in("u")[-1].is_constant() for h in (F, G)):
@@ -236,10 +227,7 @@ def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
         if points is not None:
             break
     else:
-        raise DegenerateElimination(
-            f"no frame of {tries} separates the common zeros: "
-            "one is singular on both components"
-        )
+        raise RuntimeError(f"no frame of {tries} separates the common zeros")
     for pt in points:
         if pt.sign_of(f) or pt.sign_of(g):
             raise RuntimeError("a back-substituted point is not a common zero")
@@ -248,8 +236,17 @@ def _solve_pair(f: MultiPoly, g: MultiPoly) -> list:
 
 def _points_in_frame(F: MultiPoly, G: MultiPoly, R: MultiPoly, frame: tuple):
     """Common zeros of F and G over the real roots of R(s) = Res_u(F, G);
-    None when the first subresultant vanishes at an irrational root."""
-    s1 = s0 = None
+    None when the fibre at an irrational root holds two distinct zeros.
+
+    There the fibre gcd is S_k(r, u) for the least k with S_kk(r) != 0
+    (S_k the k-th subresultant in u, S_kj its coefficient of u^j), and
+    the fibre holds one zero exactly when S_k(r, u) = S_kk*(u + num/den)^k
+    with num = S_k,k-1 and den = k*S_kk.
+    """
+    # when both have degree m, S_m is the first operand: put first one
+    # whose leading coefficient is constant
+    pair = (F, G) if F.coeffs_in("u")[-1].is_constant() else (G, F)
+    subs = {}  # k -> coefficients of S_k in u, over ("s",)
     points = []
     for r in real_roots(poly_to_coeffs(R, "s")):
         if isinstance(r, Fraction):
@@ -258,11 +255,20 @@ def _points_in_frame(F: MultiPoly, G: MultiPoly, R: MultiPoly, frame: tuple):
             points += [CertifiedPoint(frame, u, _MINUS_S, _ONE, r)
                        for u in real_roots(fibre)]
             continue
-        if s1 is None:
-            s1, s0 = first_subresultant(F, G, "u")
-        if sign_at_root(s1, r, "s") == 0:
+        for k in range(1, max(F.degree_in("u"), G.degree_in("u")) + 1):
+            if k not in subs:
+                S = subresultant(*pair, "u", k)
+                subs[k] = [c.with_variables(("s",)) for c in S.coeffs_in("u")]
+            c = subs[k]
+            if len(c) == k + 1 and sign_at_root(c[k], r, "s"):
+                break
+        else:
             return None
-        points.append(CertifiedPoint(frame, r, s0, s1))
+        num, den = c[k - 1], c[k] * k
+        if any(sign_at_root(c[j] * den ** (k - j) - c[k] * num ** (k - j)
+                            * math.comb(k, j), r, "s") for j in range(k - 1)):
+            return None
+        points.append(CertifiedPoint(frame, r, num, den))
     return points
 
 

@@ -786,7 +786,7 @@ class _Parser:
     def term(self):
         p = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if val == "*":
                 self.next()
                 p = p * self.factor()
@@ -795,6 +795,8 @@ class _Parser:
                 q = self.factor()
                 if not (isinstance(q, MultiPoly) and q.is_constant()):
                     raise PolyParseError("can only divide by a constant", self.peek()[2])
+                if q.is_zero():
+                    raise PolyParseError("division by zero", pos)
                 p = p / q.constant_value()
             else:
                 return p

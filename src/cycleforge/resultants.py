@@ -1,4 +1,4 @@
-"""Resultants, first subresultants and multivariate GCDs from one
+"""Subresultants (the resultant among them) and multivariate GCDs from one
 subresultant PRS, elimination cascades and bounded linear-factor
 extraction.
 
@@ -126,55 +126,45 @@ def _subresultants(f: MultiPoly, g: MultiPoly, var: str) -> list:
     return seq
 
 
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Res(f, g, var): a polynomial in the remaining variables.
+def subresultant(f: MultiPoly, g: MultiPoly, var: str, k: int) -> MultiPoly:
+    """S_k(f, g), the k-th subresultant polynomial in var, for k >= 0.
 
-    It is s_0, the last principal subresultant coefficient, or zero when the
-    subresultant PRS ends at a member that still involves var.
+    With m = deg f >= n = deg g, S_k (k < n) is the member of the PRS after
+    one of degree k + 1, or s * F / lc(F) for a member F of degree k, and
+    zero otherwise; S_n = lc(g)^(m-n-1) * g when m > n, and S_m = f by
+    convention (a degree-1 f is its own first subresultant).  At a value
+    of the other variables where lc(f), or lc(g) if n < m, does not
+    vanish, the gcd of f and g in var is S_k for the least k whose
+    coefficient of var^k does not vanish there.  S_0 is the resultant.
     """
     if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of a zero polynomial")
+        raise ValueError("subresultant of a zero polynomial")
     f, g = MultiPoly._align(f, g)
-    l, m = _deg(f, var), _deg(g, var)
+    m, n = _deg(f, var), _deg(g, var)
+    if not 0 <= k <= max(m, n):
+        raise ValueError(f"no subresultant of index {k} for degrees {m} and {n} in {var}")
     sign = 1
-    if l < m:  # Res(g, f) = (-1)^(l m) Res(f, g)
-        f, g, sign = g, f, (-1) ** (l * m)
-    last, s = _subresultants(f, g, var)[-1]
-    if _deg(last, var) > 0:
-        return _drop_var(MultiPoly.zero(f.variables), var)
-    return _drop_var(s * sign, var)
+    if m < n:  # S_k(g, f) = (-1)^((m-k)(n-k)) S_k(f, g)
+        f, g, m, n, sign = g, f, n, m, (-1) ** ((m - k) * (n - k))
+    if k == m:
+        return f
+    seq = _subresultants(f, g, var)
+    for i, (q, s) in enumerate(seq[1:], 1):
+        if i >= 2 and _deg(seq[i - 1][0], var) == k + 1:
+            return q * sign
+        if _deg(q, var) == k:
+            return s * sign if k == 0 else (s * q).exact_div(q.coeff_of(var, k)) * sign
+    return MultiPoly.zero(f.variables)
+
+
+def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Res(f, g, var) = S_0: a polynomial in the remaining variables."""
+    return _drop_var(subresultant(f, g, var, 0), var)
 
 
 def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
-    """(s1, s0) with S_1 = s1*var + s0 the first subresultant polynomial.
-
-    At any specialization of the other variables where the gcd of f and g
-    in `var` has degree exactly one (and the leading coefficients do not
-    both vanish), the common root is -s0/s1.  Degree-1 inputs return their
-    own coefficients.  When one input is free of var and the other has
-    degree two or more, no degree-one subresultant exists and both are zero.
-    """
-    f, g = MultiPoly._align(f, g)
-    m, n = _deg(f, var), _deg(g, var)
-    if m == 0 and n == 0:
-        raise ValueError("at least one polynomial must involve the variable")
-    if m == 1 or n == 1:
-        lin = f if m == 1 else g
-        return _drop_var(lin.coeff_of(var, 1), var), _drop_var(lin.coeff_of(var, 0), var)
-    if m == 0 or n == 0:
-        zero = _drop_var(MultiPoly.zero(f.variables), var)
-        return zero, zero
-    sign = 1
-    if m < n:  # S_1(g, f) = (-1)^((m-1)(n-1)) S_1(f, g)
-        f, g, sign = g, f, (-1) ** ((m - 1) * (n - 1))
-    sub = MultiPoly.zero(f.variables)  # S_1 = 0 unless a member says otherwise
-    seq = _subresultants(f, g, var)
-    for (p, _), (q, s) in zip(seq[1:], seq[2:]):
-        if _deg(p, var) == 2:  # S_1 = S_(2-1) is the next member
-            sub = q
-        elif _deg(q, var) == 1:  # S_1 is the last subresultant of q's block
-            sub = (s * q).exact_div(q.coeff_of(var, 1))
-    sub = sub * sign
+    """(s1, s0) with S_1 = s1*var + s0 the first subresultant polynomial."""
+    sub = subresultant(f, g, var, 1)
     return _drop_var(sub.coeff_of(var, 1), var), _drop_var(sub.coeff_of(var, 0), var)
 
 

@@ -91,6 +91,11 @@ TMAX = ["--tmax", "1"]
     (["eliminate", "--family", "P4", "--order", "a11", "--bound", "0"], "--bound"),
     (["eliminate", "--family", "P4", "--order", "a11",
       "--bound", str(cli.MAX_BOUND + 1)], "--bound"),
+    (["lyap", "--file", 'json:{"f": "x/0", "g": "y"}'], "division by zero (column 2)"),
+    (["center-certify", "--family", "P4", "--curve", "x/0"], "division by zero"),
+    (["center-certify", "--family", "P4", "--condition", '{"a11": "1/0"}'],
+     "division by zero"),
+    (["singular", "--family", "P9", "--bind", "mu=1/0,alpha=0,lam=0"], "'1/0'"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)
@@ -244,17 +249,28 @@ def test_irrational_grid_exits_0(tmp_path, capsys):
     assert data["berlinskii"]["configuration"] == "convex_alternating"
 
 
-def test_doubly_singular_irrational_zeros_exit_3(tmp_path, capsys):
-    # valid input whose zeros (+-sqrt2, +-sqrt3) are singular on both
-    # components: every fibre through one holds a double zero, so no frame
-    # separates them; a limit of the method, not an input error
+def test_doubly_singular_irrational_zeros_exit_0(tmp_path, capsys):
+    # zeros (+-sqrt2, +-sqrt3) singular on both components: each fibre of a
+    # shear holds one of them as a double zero, read off the second
+    # subresultant
+    sympy = pytest.importorskip("sympy")
     src = tmp_path / "grid.json"
     src.write_text(json.dumps({"f": "(x^2 - 2)*(y^2 - 3)",
                                "g": "(x^2 - 2)^2 + (y^2 - 3)^2"}))
     code, out, err = run(capsys, "berlinskii", "--file", str(src), "--raw-pair")
-    assert code == 3 and out == ""
-    assert err == ("error: no frame of 141 separates the common zeros: "
-                   "one is singular on both components\n")
+    assert code == 0 and err == ""
+    points = json.loads(out)["singularities"]["points"]
+    assert len(points) == 4 and {p["type"] for p in points} == {"degenerate"}
+    x, y = sympy.symbols("x y")
+    sols = sympy.solve([(x**2 - 2) * (y**2 - 3), (x**2 - 2)**2 + (y**2 - 3)**2],
+                       [x, y], dict=True)
+    assert len(sols) == 4
+    for sol in sols:
+        hits = [p for p in points
+                if all(sympy.Rational(lo) < sol[v] < sympy.Rational(hi)
+                       for v, (lo, hi) in ((x, p["location"]["x"]),
+                                           (y, p["location"]["y"])))]
+        assert len(hits) == 1, sol
 
 
 def test_output_is_deterministic(capsys):

@@ -192,8 +192,8 @@ def _small_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(_small_pair())
 def test_every_reported_point_is_a_common_zero(pair):
-    # a common zero singular on both components of a pair of degree <= 2
-    # is rational, so the solver never refuses one
+    # every isolated common zero is solved, a doubly singular one too, and
+    # certified by exact back-substitution
     f, g = pair
     rep = dynamics.pair_report(f, g)
     for p in rep.points:
@@ -219,13 +219,27 @@ def _quadratic_in(rng, i):
                                   mon(0): -rng.randint(1, 3)})
 
 
+def _doubly_singular_grid(rng, i):
+    """A(x)*B(y) with A^2 + B^2, 2A^2 - 3B^2 + AB or A^2 + L*B^2 (L a
+    linear form): every common zero with A = B = 0 is singular on both
+    components."""
+    a, b = _quadratic_in(rng, 0), _quadratic_in(rng, 1)
+    line = MultiPoly(("x", "y"), {(1, 0): rng.choice([-2, -1, 1, 2]),
+                                  (0, 1): rng.choice([-2, -1, 1, 2]),
+                                  (0, 0): rng.randint(-2, 2)})
+    g = (a * a + b * b, a * a * 2 - b * b * 3 + a * b, a * a + line * b * b)[i % 3]
+    return a * b, g
+
+
 def test_point_sets_match_sympy():
     # random pairs, then grids (f free of x, g free of y): a grid needs a
-    # shear when both components have irrational roots
+    # shear when both components have irrational roots; then doubly
+    # singular grids, whose fibres hold double zeros
     sympy = pytest.importorskip("sympy")
     rng = random.Random(12)
     pairs = [(_random_poly(rng), _random_poly(rng)) for _ in range(80)]
     pairs += [(_quadratic_in(rng, 1), _quadratic_in(rng, 0)) for _ in range(12)]
+    pairs += [_doubly_singular_grid(rng, i) for i in range(12)]
     solved = 0
     for f, g in pairs:
         rep = dynamics.pair_report(f, g)
@@ -233,7 +247,7 @@ def test_point_sets_match_sympy():
             continue
         _assert_matches_sympy(sympy, rep, f, g)
         solved += 1
-    assert solved >= 85
+    assert solved >= 97
 
 
 def test_degenerate_shared_factor_detected():

@@ -1,17 +1,21 @@
-"""numpy and scipy stay out of every process.
+"""numpy and scipy stay out of every process, and the layers the
+benchmark tracer wraps exist.
 
 The program imports neither: the integrator runs on Python floats, so
 symbolic commands, trajectories and return maps load no numeric module.
 """
 
 import ast
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TRACER = SRC.parent / "perfbench" / "tracer.py"
 NUMERIC = ("numpy", "scipy")
 
 # fast symbolic commands, one per kind of exact work
@@ -116,8 +120,9 @@ def test_numeric_layer_loads_no_numeric_module(tmp_path):
 
 
 def test_resultants_need_no_sylvester_matrix():
-    """Resultants, first subresultants and gcds come from one subresultant
-    PRS, so resultants.py uses no linear algebra and has no Sylvester matrix."""
+    """Subresultants (the resultant among them) and gcds come from one
+    subresultant PRS, so resultants.py uses no linear algebra and has no
+    Sylvester matrix."""
     path = SRC / "cycleforge" / "resultants.py"
     offenders = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -134,3 +139,19 @@ def test_resultants_need_no_sylvester_matrix():
         if any(name.split(".")[-1] == "linalg" for name in names):
             offenders.append(f"resultants.py:{node.lineno}: imports linalg")
     assert offenders == []
+
+
+def test_traced_names_exist():
+    """Every function the benchmark tracer wraps by name is still defined
+    where it looks, so deleting or renaming a traced layer fails here."""
+    targets = runpy.run_path(str(TRACER))["TARGETS"]  # runs, writes no bytecode
+    missing = []
+    for _, module, quals, _ in targets:
+        for qual in quals:
+            *owner_path, attr = qual.split(".")
+            owner = importlib.import_module(f"cycleforge.{module}")
+            for part in owner_path:
+                owner = getattr(owner, part, None)
+            if not callable(getattr(owner, "__dict__", {}).get(attr)):
+                missing.append(f"cycleforge.{module}.{qual}")
+    assert missing == []

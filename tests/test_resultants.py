@@ -1,5 +1,6 @@
 """Resultants, shared-factor extraction, and the elimination cascade."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cycleforge.resultants import (
     normalize_unit,
     resultant,
     specialize_check,
+    subresultant,
     substitute_ratio,
     unit_multiple_of,
 )
@@ -215,22 +217,29 @@ def test_multivariate_gcd_matches_sympy(a, b, c):
     assert ratio != 0 and ratio.free_symbols == set()
 
 
-def _first_subresultant_by_minors(sympy, f, g):
-    """(s1, s0) by the determinant definition of S_1(f, g) in x.
+def _subresultant_by_minors(sympy, f, g, k):
+    """S_k(f, g) in x by its determinant definition.
 
-    With m = deg f and n = deg g: the rows are x^(n-2) f, ..., f, then
-    x^(m-2) g, ..., g; the columns are the coefficients of x^(m+n-2) down
-    to x^2, then of x^1 for s1 or of x^0 for s0.
+    With m = deg f and n = deg g: the rows are x^(n-k-1) f, ..., f, then
+    x^(m-k-1) g, ..., g; the columns are the coefficients of x^(m+n-k-1)
+    down to x^(k+1), then sum_(j <= k) (coefficient of x^j) * x^j, which by
+    linearity in that column sums the minors of the coefficients of S_k.
+    f and g are first scaled to integer coefficients, so that the
+    determinant is taken over ZZ[x, y, a].
     """
     x = sympy.Symbol("x")
-    fd = sympy.Poly(_to_sympy(sympy, f), x).all_coeffs()
-    gd = sympy.Poly(_to_sympy(sympy, g), x).all_coeffs()
+    cf, cg = (math.lcm(*(c.denominator for c in p.terms.values())) for p in (f, g))
+    fd = sympy.Poly(_to_sympy(sympy, f * cf), x).all_coeffs()
+    gd = sympy.Poly(_to_sympy(sympy, g * cg), x).all_coeffs()
     m, n = len(fd) - 1, len(gd) - 1
-    width = m + n - 1  # exponents m+n-2 .. 0
-    rows = ([[0] * i + fd + [0] * (width - i - m - 1) for i in range(n - 1)]
-            + [[0] * i + gd + [0] * (width - i - n - 1) for i in range(m - 1)])
-    return tuple(_sympy_det(sympy, [r[:m + n - 3] + [r[col]] for r in rows])
-                 for col in (m + n - 3, m + n - 2))
+    width = m + n - k  # exponents m+n-k-1 .. 0
+    rows = ([[0] * i + fd + [0] * (width - i - m - 1) for i in range(n - k)]
+            + [[0] * i + gd + [0] * (width - i - n - 1) for i in range(m - k)])
+    lead = width - k - 1
+    det = _sympy_det(sympy, [r[:lead] + [sum(c * x**(width - 1 - i)
+                                             for i, c in enumerate(r[lead:], lead))]
+                             for r in rows])
+    return det / (cf ** (n - k) * cg ** (m - k))
 
 
 @st.composite
@@ -246,12 +255,17 @@ def _subresultant_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_subresultant_pairs())
 def test_first_subresultant_matches_sympy_minors(pair):
+    # every S_k below the smaller degree, and the (s1, s0) view of S_1
     sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
     f, g = pair
     for a, b in ((f, g), (g, f)):
-        ours = tuple(_to_sympy(sympy, s) for s in first_subresultant(a, b, "x"))
-        theirs = _first_subresultant_by_minors(sympy, a, b)
-        assert all(sympy.expand(o - t) == 0 for o, t in zip(ours, theirs))
+        theirs = [_subresultant_by_minors(sympy, a, b, k)
+                  for k in range(min(a.degree_in("x"), b.degree_in("x")))]
+        for k, t in enumerate(theirs):
+            assert sympy.expand(_to_sympy(sympy, subresultant(a, b, "x", k)) - t) == 0, k
+        s1, s0 = (_to_sympy(sympy, s) for s in first_subresultant(a, b, "x"))
+        assert sympy.expand(s1 * x + s0 - theirs[1]) == 0
 
 
 @settings(max_examples=40, deadline=None)

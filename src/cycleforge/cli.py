@@ -9,6 +9,7 @@ verdict, 2 on input errors, 3 on an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -16,9 +17,8 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from . import bifurcation, centers, dynamics, fields, integrate, lyapunov
+from . import fields
 from .poly import PolyParseError, parse_poly
-from .resultants import cascade
 
 
 # Longest `simulate` horizon: at the default tolerances one time unit of a
@@ -127,6 +127,7 @@ def _parse_binding(spec: str | None, fam: fields.VectorField) -> dict:
 
 
 def _cmd_lyap(args) -> int:
+    from . import lyapunov
     fam = _load_family(args)
     rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
     _emit_json(rep.to_json(), args.out)
@@ -134,10 +135,12 @@ def _cmd_lyap(args) -> int:
 
 
 def _cmd_center_certify(args) -> int:
+    from . import centers
     fam = _load_family(args)
     conditions = {"P4": fields.P4_CONDITIONS, "P5": fields.P5_CONDITIONS}.get(
         getattr(args, "family", None) or "", {}
     )
+    fam_c = fam
     if args.condition:
         if args.condition in conditions:
             fam_c = fields.apply_condition(fam, conditions[args.condition])
@@ -156,12 +159,7 @@ def _cmd_center_certify(args) -> int:
                 fam_c = fields.apply_condition(fam, cond)
             except (TypeError, OverflowError) as e:
                 raise InputError(f"bad --condition value: {e}")
-    else:
-        fam_c = fam
-    extra = []
-    if args.curve:
-        for c in args.curve:
-            extra.append(parse_poly(c, fam_c.variables))
+    extra = [parse_poly(c, fam_c.variables) for c in args.curve or ()]
     cert = centers.certify(fam_c, extra_curves=extra)
     out = {"condition": args.condition, "certificate": cert.to_json()}
     _emit_json(out, args.out)
@@ -171,18 +169,20 @@ def _cmd_center_certify(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
+    from . import lyapunov, resultants
     if not 1 <= args.bound <= MAX_BOUND:
         raise InputError(f"--bound must be between 1 and {MAX_BOUND}, got {args.bound}")
     fam = _load_family(args)
     order = [s.strip() for s in args.order.split(",")]
     _check_parameters("--order", order, fam)
     rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
-    traces = cascade(rep.quantities, order, coeff_bound=args.bound)
+    traces = resultants.cascade(rep.quantities, order, coeff_bound=args.bound)
     _emit_json([t.to_json() for t in traces], args.out)
     return 0
 
 
 def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
+    from . import bifurcation
     data = _read_json_object(path)
     try:
         base_data = data["base"]
@@ -191,15 +191,21 @@ def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
             parse_poly(base_data["f"], vs), parse_poly(base_data["g"], vs)
         )
         terms = [tuple(t) for t in data["terms"]]
-        point = tuple(Fraction(str(c)) for c in data.get("point", (0, 0)))
+        point = data.get("point", [0, 0])
+        if not (isinstance(point, list) and len(point) == 2):
+            raise InputError(f"{path}: point must be two rational coordinates")
+        point = tuple(Fraction(str(c)) for c in point)
         return bifurcation.build_perturbation(
             base, terms, alpha_symbol=data.get("alpha", "alpha"), point=point
         )
     except (KeyError, TypeError, PolyParseError, ValueError) as e:
         raise InputError(f"{path}: {e}")
+    except ZeroDivisionError:
+        raise InputError(f"{path}: division by zero")
 
 
 def _cmd_bifurcate(args) -> int:
+    from . import bifurcation
     if not args.prop and not args.setup:
         raise InputError("need --prop or --setup")
     label = None if args.setup else args.prop
@@ -228,6 +234,7 @@ def _cmd_bifurcate(args) -> int:
 
 
 def _cmd_singular(args) -> int:
+    from . import dynamics
     fam = _load_family(args)
     binding = _parse_binding(args.bind, fam)
     rep = dynamics.singularities_in_delta(fam, binding, region=args.region)
@@ -236,6 +243,7 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_berlinskii(args) -> int:
+    from . import dynamics
     fam = _load_family(args)
     binding = _parse_binding(args.bind, fam)
     if args.raw_pair:
@@ -250,6 +258,7 @@ def _cmd_berlinskii(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import integrate
     for flag in ("tmax", "rtol", "atol"):
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):
@@ -289,6 +298,7 @@ def _cmd_game_build(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cycleforge",
@@ -309,14 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lyap", help="Lyapunov quantities of a family")
     common(p)
     p.add_argument("--N", type=int, default=2)
-    p.set_defaults(func=_cmd_lyap)
 
     p = sub.add_parser("center-certify", help="certify a center stratum")
     common(p)
     p.add_argument("--condition", help="label (e.g. C5, D7) or JSON map")
     p.add_argument("--curve", action="append",
                    help="extra candidate invariant curve (repeatable)")
-    p.set_defaults(func=_cmd_center_certify)
 
     p = sub.add_parser("eliminate", help="resultant cascade on the quantities")
     common(p)
@@ -324,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True,
                    help="comma-separated elimination order")
     p.add_argument("--bound", type=int, default=2)
-    p.set_defaults(func=_cmd_eliminate)
 
     p = sub.add_parser("bifurcate", help="first-order cycle bifurcation")
     common(p, family=False)
@@ -332,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setup", help="JSON file with a custom perturbation "
                    "setup: base {f, g, variables}, terms, alpha, point")
     p.add_argument("--N", type=int, default=None)
-    p.set_defaults(func=_cmd_bifurcate)
 
     p = sub.add_parser("singular", help="certified singular points")
     common(p)
     p.add_argument("--bind", help="comma-separated name=value parameters")
     p.add_argument("--region", choices=("delta", "all"), default="delta")
-    p.set_defaults(func=_cmd_singular)
 
     p = sub.add_parser("berlinskii", help="four-point configuration check")
     common(p)
@@ -346,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=("delta", "all"), default="delta")
     p.add_argument("--raw-pair", action="store_true",
                    help="classify (f, g) itself instead of the full field")
-    p.set_defaults(func=_cmd_berlinskii)
 
     p = sub.add_parser("simulate", help="integrate a trajectory to CSV")
     common(p)
@@ -356,28 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("game-build", help="field from 2x2 game payoffs")
     p.add_argument("--file", required=True, help="JSON {A: [[..]], B: [[..]]}")
-    p.add_argument("--out")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_game_build)
+    common(p, family=False)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse uses 2 for usage errors already
         return int(e.code or 0)
     try:
         if getattr(args, "N", None) is not None and args.N < 1:
             raise InputError(f"--N must be at least 1, got {args.N}")
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (InputError, PolyParseError, ValueError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

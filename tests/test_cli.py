@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON shape, atomic output."""
 
+import gc
 import json
 import os
 
@@ -60,6 +61,8 @@ def test_bad_binding_is_input_error(capsys):
 SIM = ["simulate", "--family", "P9", "--bind", "mu=0,alpha=1/100,lam=0"]
 START = ["--start", "0.3,0"]
 TMAX = ["--tmax", "1"]
+# a --setup file up to its "point" value
+SETUP = 'json:{"base": {"f": "y", "g": "-x"}, "terms": [], "point": '
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -96,6 +99,10 @@ TMAX = ["--tmax", "1"]
     (["center-certify", "--family", "P4", "--condition", '{"a11": "1/0"}'],
      "division by zero"),
     (["singular", "--family", "P9", "--bind", "mu=1/0,alpha=0,lam=0"], "'1/0'"),
+    (["bifurcate", "--setup", SETUP + '["1/0", 0]}'], "division by zero"),
+    (["bifurcate", "--setup", SETUP + '["1"]}'], "point"),
+    (["bifurcate", "--setup", SETUP + '[0, 0, 0]}'], "point"),
+    (["bifurcate", "--setup", SETUP + '[]}'], "point"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)
@@ -119,6 +126,31 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys, exc):
     assert code == 3 and out == ""
     assert err.startswith(f"internal error: {exc.__name__}: ")
     assert err.count("\n") == 1 and "broken" in err
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # usage errors leave the one parser of the process usable
+    assert main([]) == 2
+    assert main(["lyap", "--bogus"]) == 2
+    dst = tmp_path / "report.json"
+    assert main(["lyap", "--family", "P4", "--N", "2", "--out", str(dst)]) == 0
+    with open(os.path.join(REFERENCE, "lyap-P4-N2.json"), "rb") as fh:
+        assert dst.read_bytes() == fh.read()
+    # and calls build no new argparse objects for the collector to free
+    src = tmp_path / "game.json"
+    src.write_text(json.dumps({"A": [[0, 0], [1, -1]], "B": [[0, 1], [1, 0]]}))
+    gc.collect()
+    flags, start = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        codes = [main(["game-build", "--file", str(src)]) for _ in range(5)]
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage[start:]
+                if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    assert codes == [0] * 5 and left == []
 
 
 def test_center_certify_strict_negative(capsys):

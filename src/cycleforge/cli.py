@@ -17,8 +17,9 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from . import fields
+from . import bifurcation, centers, dynamics, fields, integrate, lyapunov
 from .poly import PolyParseError, parse_poly
+from .resultants import cascade
 
 
 # Longest `simulate` horizon: at the default tolerances one time unit of a
@@ -127,7 +128,6 @@ def _parse_binding(spec: str | None, fam: fields.VectorField) -> dict:
 
 
 def _cmd_lyap(args) -> int:
-    from . import lyapunov
     fam = _load_family(args)
     rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
     _emit_json(rep.to_json(), args.out)
@@ -135,12 +135,10 @@ def _cmd_lyap(args) -> int:
 
 
 def _cmd_center_certify(args) -> int:
-    from . import centers
     fam = _load_family(args)
     conditions = {"P4": fields.P4_CONDITIONS, "P5": fields.P5_CONDITIONS}.get(
         getattr(args, "family", None) or "", {}
     )
-    fam_c = fam
     if args.condition:
         if args.condition in conditions:
             fam_c = fields.apply_condition(fam, conditions[args.condition])
@@ -159,7 +157,12 @@ def _cmd_center_certify(args) -> int:
                 fam_c = fields.apply_condition(fam, cond)
             except (TypeError, OverflowError) as e:
                 raise InputError(f"bad --condition value: {e}")
-    extra = [parse_poly(c, fam_c.variables) for c in args.curve or ()]
+    else:
+        fam_c = fam
+    extra = []
+    if args.curve:
+        for c in args.curve:
+            extra.append(parse_poly(c, fam_c.variables))
     cert = centers.certify(fam_c, extra_curves=extra)
     out = {"condition": args.condition, "certificate": cert.to_json()}
     _emit_json(out, args.out)
@@ -169,20 +172,18 @@ def _cmd_center_certify(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    from . import lyapunov, resultants
     if not 1 <= args.bound <= MAX_BOUND:
         raise InputError(f"--bound must be between 1 and {MAX_BOUND}, got {args.bound}")
     fam = _load_family(args)
     order = [s.strip() for s in args.order.split(",")]
     _check_parameters("--order", order, fam)
     rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
-    traces = resultants.cascade(rep.quantities, order, coeff_bound=args.bound)
+    traces = cascade(rep.quantities, order, coeff_bound=args.bound)
     _emit_json([t.to_json() for t in traces], args.out)
     return 0
 
 
 def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
-    from . import bifurcation
     data = _read_json_object(path)
     try:
         base_data = data["base"]
@@ -205,7 +206,6 @@ def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
 
 
 def _cmd_bifurcate(args) -> int:
-    from . import bifurcation
     if not args.prop and not args.setup:
         raise InputError("need --prop or --setup")
     label = None if args.setup else args.prop
@@ -234,7 +234,6 @@ def _cmd_bifurcate(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    from . import dynamics
     fam = _load_family(args)
     binding = _parse_binding(args.bind, fam)
     rep = dynamics.singularities_in_delta(fam, binding, region=args.region)
@@ -243,7 +242,6 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_berlinskii(args) -> int:
-    from . import dynamics
     fam = _load_family(args)
     binding = _parse_binding(args.bind, fam)
     if args.raw_pair:
@@ -258,7 +256,6 @@ def _cmd_berlinskii(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import integrate
     for flag in ("tmax", "rtol", "atol"):
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):

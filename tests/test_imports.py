@@ -1,6 +1,5 @@
-"""numpy and scipy stay out of every process, each CLI command loads only
-the cycleforge modules it uses, and the layers the benchmark tracer wraps
-exist.
+"""numpy and scipy stay out of every process, and the layers the
+benchmark tracer wraps exist.
 
 The program imports neither: the integrator runs on Python floats, so
 symbolic commands, trajectories and return maps load no numeric module.
@@ -44,21 +43,21 @@ assert [r["status"] for r in rows] == ["ok", "ok"], rows
 integrate.refine_cycle_bracket(fam, b, (0.25, 0.0), 0.045, 0.06, width=1e-2, **kw)
 """
 
-# Imports cycleforge.cli, runs CLI commands, then the Python code in argv[2],
-# in a fresh interpreter and prints, as one JSON line, the exit codes and the
-# modules under the given top-level names loaded before and after them.
+# Runs CLI commands, then the Python code in argv[2], in a fresh interpreter
+# and prints, as one JSON line, the exit codes and the numeric modules
+# loaded before and after them.
 _PROBE = """
 import contextlib, io, json, sys
 from cycleforge import cli
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in {roots})
+def numeric():
+    return sorted(m for m in sys.modules if m.split(".")[0] in {numeric})
 
-before = loaded()
+before = numeric()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
     exec(sys.argv[2])
-print(json.dumps({{"before": before, "after": loaded(), "codes": codes}}))
+print(json.dumps({{"before": before, "after": numeric(), "codes": codes}}))
 """
 
 
@@ -72,8 +71,8 @@ def _python(code, *args):
         capture_output=True, text=True, env=env, timeout=120, check=True).stdout
 
 
-def _probe(commands, code="", roots=NUMERIC):
-    out = _python(_PROBE.format(roots=roots), json.dumps(commands), code)
+def _probe(commands, code=""):
+    out = _python(_PROBE.format(numeric=NUMERIC), json.dumps(commands), code)
     return json.loads(out.splitlines()[-1])
 
 
@@ -118,24 +117,6 @@ def test_numeric_layer_loads_no_numeric_module(tmp_path):
     lines = dst.read_text().splitlines()
     assert lines[0] == "t,x,y" and len(lines) == 8
     assert [float(v) for v in lines[1].split(",")] == [0.0, 0.3, 0.0]
-
-
-def test_each_command_loads_only_its_layers(tmp_path):
-    game = tmp_path / "game.json"
-    game.write_text(json.dumps({"A": [[0, 0], [1, -1]], "B": [[0, 1], [1, 0]]}))
-    game_build = _probe([["game-build", "--file", str(game)]],
-                        roots=("cycleforge",))
-    lyap = _probe([["lyap", "--family", "P4", "--N", "2"]], roots=("cycleforge",))
-    assert game_build["codes"] == lyap["codes"] == [0]
-    imported = ["cycleforge", "cycleforge.cli", "cycleforge.fields",
-                "cycleforge.poly", "cycleforge.scalars"]
-    assert game_build["before"] == game_build["after"] == imported
-    assert lyap["before"] == imported
-    added = set(lyap["after"]) - set(imported)
-    assert "cycleforge.lyapunov" in added
-    assert not added & {f"cycleforge.{m}" for m in
-                        ("dynamics", "integrate", "bifurcation", "resultants",
-                         "roots")}
 
 
 def test_resultants_need_no_sylvester_matrix():

@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         if getattr(args, "N", None) is not None and args.N < 1:
             raise InputError(f"--N must be at least 1, got {args.N}")
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (InputError, PolyParseError, ValueError, ArithmeticError) as e:
+    except (InputError, PolyParseError, ValueError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except Exception as e:

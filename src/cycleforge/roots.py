@@ -4,7 +4,8 @@ Works on coefficient lists (index = power) over Q or Q(sqrt(d)).  Roots come
 back either as exact rationals (found by the rational-root theorem) or as
 Sturm-certified isolating intervals with rational endpoints.  An interval
 carries the square-free polynomial its Sturm count and endpoint signs refer
-to, so `refine` and `sign_at_root` need nothing but the root itself.
+to, so `refine` and `sign_at_root` need nothing but the root itself;
+`sign_at_root` decides a sign there by one Sturm query, exactly.
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ def _divmod(a: list, b: list):
 # -- Sturm sequences -----------------------------------------------------------
 
 
-def sturm_chain(coeffs: list) -> list:
-    chain = [coeffs, strip(derivative(coeffs))]
+def sturm_chain(coeffs: list, other: Optional[list] = None) -> list:
+    """Signed remainder sequence of (coeffs, other); other defaults to the
+    derivative, giving the Sturm sequence of coeffs."""
+    chain = [coeffs, strip(derivative(coeffs) if other is None else list(other))]
     while chain[-1]:
         r = _divmod(chain[-2], chain[-1])[1]
         chain.append([-c for c in r])
@@ -361,7 +364,21 @@ def _rational_to_interval(sf: list, chain: list, r: Fraction) -> IsolatingInterv
         gap /= 2
 
 
-# -- rational interval arithmetic ----------------------------------------------
+def sign_at_root(f: MultiPoly, root: RootLocation, var: str) -> int:
+    """Exact sign of the polynomial f in var at a real root."""
+    fc = poly_to_coeffs(f, var)
+    if isinstance(root, Fraction):
+        return scalar_sign(horner(fc, root))
+    # Sturm's theorem for the Cauchy index: with P = root.poly nonzero at
+    # lo and hi, Var(lo) - Var(hi) of the signed remainder sequence of
+    # (P, f) is Ind(f/P) over (lo, hi) = sign(P'(a) f(a)) at the one simple
+    # root a, and P'(a) has the sign of P at hi
+    chain = sturm_chain(list(root.poly), fc)
+    index = variations_at(chain, root.lo) - variations_at(chain, root.hi)
+    return index * root.sign_change_certificate[1]
+
+
+# -- rational interval arithmetic (enclosures only; signs are exact) -----------
 
 
 @dataclass(frozen=True)
@@ -432,8 +449,6 @@ class RatInterval:
 
 # bits of sqrt(d) in the enclosure of a Q(sqrt d) coefficient
 ENCLOSURE_BITS = 30
-# interval refinements (each quarters the width) before sign_at_root gives up
-SIGN_REFINE_STEPS = 200
 
 
 def _as_interval(x) -> RatInterval:
@@ -467,23 +482,3 @@ def poly_box_eval(p: MultiPoly, box: dict) -> RatInterval:
                 term = term * (_as_interval(box[v]) ** e)
         total = total + term
     return total
-
-
-def sign_at_root(f: MultiPoly, root: RootLocation, var: str) -> int:
-    """Exact sign of the polynomial f in var at a real root."""
-    fc = poly_to_coeffs(f, var)
-    if isinstance(root, Fraction):
-        return scalar_sign(horner(fc, root))
-    # g divides the square-free root.poly, whose one root in (lo, hi) is
-    # simple and whose endpoint values are nonzero: g shares that root
-    # exactly when it changes sign across the interval
-    g = gcd_univariate(fc, list(root.poly))
-    if scalar_sign(horner(g, root.lo)) != scalar_sign(horner(g, root.hi)):
-        return 0
-    iv = root
-    for _ in range(SIGN_REFINE_STEPS):
-        s = poly_box_eval(f, {var: RatInterval(iv.lo, iv.hi)}).sign()
-        if s is not None:
-            return s
-        iv = refine(iv, iv.width() / 4)
-    raise ArithmeticError("could not determine sign by interval refinement")

@@ -2,7 +2,9 @@
 
 import gc
 import json
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +105,7 @@ SETUP = 'json:{"base": {"f": "y", "g": "-x"}, "terms": [], "point": '
     (["bifurcate", "--setup", SETUP + '["1"]}'], "point"),
     (["bifurcate", "--setup", SETUP + '[0, 0, 0]}'], "point"),
     (["bifurcate", "--setup", SETUP + '[]}'], "point"),
+    (["lyap", "--file", 'json:{"f": "x^70000", "g": "y"}'], "16-bit field"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)
@@ -116,7 +119,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
 
 
 @pytest.mark.parametrize("exc", [KeyError, TypeError, AttributeError,
-                                 AssertionError])
+                                 AssertionError, ZeroDivisionError,
+                                 ArithmeticError])
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys, exc):
     def boom(args):
         raise exc("broken\ninvariant")
@@ -303,6 +307,21 @@ def test_doubly_singular_irrational_zeros_exit_0(tmp_path, capsys):
                        for v, (lo, hi) in ((x, p["location"]["x"]),
                                            (y, p["location"]["y"])))]
         assert len(hits) == 1, sol
+
+
+@pytest.mark.parametrize("above, det_sign", [(False, 1), (True, -1)])
+def test_sign_at_a_near_miss_is_decided(tmp_path, capsys, above, det_sign):
+    # g = (x - r)*y with r within 10^-150 of sqrt(2): the Jacobian
+    # determinant 2x(x - r) at (sqrt(2), 0) has the sign of sqrt(2) - r
+    n = math.isqrt(2 * 10**300) + above
+    src = tmp_path / "near.json"
+    src.write_text(json.dumps({"f": "x^2 - 2", "g": f"x*y - {n}/10^150*y"}))
+    code, out, err = run(capsys, "berlinskii", "--file", str(src), "--raw-pair")
+    assert code == 0 and err == ""
+    points = json.loads(out)["singularities"]["points"]
+    near = [p for p in points
+            if Fraction(p["location"]["x"][0]) > 0 and p["location"]["y"] == "0"]
+    assert len(near) == 1 and near[0]["jacobian_det_sign"] == det_sign
 
 
 def test_output_is_deterministic(capsys):

@@ -1,5 +1,6 @@
 """Exact real-root isolation, Sturm machinery, and algebraic signs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,32 @@ def test_sign_at_root_exact():
     assert sign_at_root(parse_poly("x - 2"), root, "x") == -1
     # shares the root exactly: certified zero, not a tiny nonzero sign
     assert sign_at_root(parse_poly("x^4 - 4"), root, "x") == 0
+
+
+# floor(alpha * 10^150) for alpha = sqrt(2), sqrt(3/2) and 2^(1/4)
+_SQRT2_DIGITS = math.isqrt(2 * 10**300)
+_SQRT3_2_DIGITS = math.isqrt(3 * 10**300 // 2)
+_ROOT4_2_DIGITS = math.isqrt(math.isqrt(2 * 10**600))
+
+
+@pytest.mark.parametrize("defining, f, sign", [
+    # x - r at sqrt(2), r its 150-digit truncation and one unit above;
+    # the defining 2 - x^2 falls through the root
+    ([2, 0, -1], [Fraction(-_SQRT2_DIGITS, 10**150), 1], 1),
+    ([2, 0, -1], [Fraction(-_SQRT2_DIGITS - 1, 10**150), 1], -1),
+    # x - q*sqrt(2) at sqrt(3), q the truncation of sqrt(3/2): a Q(sqrt 2)
+    # coefficient
+    ([-3, 0, 1], [QuadExt(0, Fraction(-_SQRT3_2_DIGITS, 10**150), 2), 1], 1),
+    ([-3, 0, 1], [QuadExt(0, Fraction(-_SQRT3_2_DIGITS - 1, 10**150), 2), 1], -1),
+    # x - r at 2^(1/4), a root of x^2 - sqrt(2)
+    ([QuadExt(0, -1, 2), 0, 1], [Fraction(-_ROOT4_2_DIGITS, 10**150), 1], 1),
+    ([QuadExt(0, -1, 2), 0, 1], [Fraction(-_ROOT4_2_DIGITS - 1, 10**150), 1], -1),
+], ids=["sqrt2-below", "sqrt2-above", "sqrt3-vs-q-sqrt2-below",
+        "sqrt3-vs-q-sqrt2-above", "root4-2-below", "root4-2-above"])
+def test_sign_at_root_decides_near_misses(defining, f, sign):
+    root = real_roots([Fraction(c) if isinstance(c, int) else c for c in defining])[-1]
+    fp = MultiPoly.from_collected(("x",), {(i,): c for i, c in enumerate(f)})
+    assert sign_at_root(fp, root, "x") == sign
 
 
 def _sqrt2_coeff(a: int, b: int):

@@ -19,7 +19,7 @@ from .fields import VectorField
 from .linalg import ExactMatrix, echelon
 from .lyapunov import linear_parts_in, lyapunov_quantities, normalize_at
 from .poly import MultiPoly, format_poly, parse_poly
-from .resultants import multivariate_gcd, normalize_unit
+from .resultants import multivariate_gcd
 from .roots import (
     IsolatingInterval,
     RootLocation,
@@ -72,7 +72,7 @@ def ratfunc(num: MultiPoly, den: Optional[MultiPoly] = None) -> RatFunc:
         if not g.is_constant():
             num = num.exact_div(g)
             den = den.exact_div(g)
-    nd = normalize_unit(den)
+    nd = den.primitive()
     c = den.leading()[1] / nd.leading()[1]
     if c != 1:
         num = num * inverse(c)

@@ -16,6 +16,7 @@ exact.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -348,29 +349,24 @@ def index_lemma_check(f: MultiPoly, g: MultiPoly, u: MultiPoly, v: MultiPoly,
 # -- four-point configurations --------------------------------------------------------
 
 
-def _orient(a: tuple, b: tuple, c: tuple) -> int:
-    return scalar_sign((b[0] - a[0]) * (c[1] - a[1])
-                       - (b[1] - a[1]) * (c[0] - a[0]))
+# boxes this narrow that still leave an orientation open give up on it
+_ORIENT_FLOOR = Fraction(1, 10**72)
 
 
-def _convex_hull(coords: list) -> list:
-    """Indices of hull vertices in counterclockwise order (exact arithmetic)."""
-    idx = sorted(range(len(coords)), key=lambda i: coords[i])
-    if len(idx) <= 2:
-        return idx
-
-    def half(seq):
-        out = []
-        for i in seq:
-            while len(out) >= 2 and _orient(coords[out[-2]], coords[out[-1]],
-                                            coords[i]) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = half(idx)
-    upper = half(reversed(idx))
-    return lower[:-1] + upper[:-1]
+def _orientation(pts: Sequence[CertifiedPoint]) -> Optional[int]:
+    """Sign of det(b - a, c - a) for points (a, b, c): exact on exact
+    points, else on boxes narrowed until the interval determinant excludes
+    0; None when boxes of width _ORIENT_FLOOR still do not decide it."""
+    if all(p.exact is not None for p in pts):
+        (ax, ay), (bx, by), (cx, cy) = (p.exact for p in pts)
+        return scalar_sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    width = Fraction(1, 10**9)
+    while True:
+        (ax, ay), (bx, by), (cx, cy) = (p.enclosure(width) for p in pts)
+        s = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)).sign()
+        if s is not None or width <= _ORIENT_FLOOR:
+            return s
+        width = width**2
 
 
 @dataclass
@@ -391,11 +387,15 @@ class BerlinskiiResult:
 def berlinskii_check(report: SingularityReport) -> BerlinskiiResult:
     """Saddle/antisaddle pattern of four simple singular points.
 
-    Convex position: indices must alternate around the hull.  Triangle
-    position: the three outer points must share one type with the inner
-    point of the opposite type.  Any other pattern is flagged as a
-    counterexample (impossible for the families under study, so it signals
-    an input or implementation error).
+    Convex position with alternating indices holds exactly when the
+    saddle-saddle segment crosses the antisaddle-antisaddle segment.
+    Triangle position holds exactly when the point of the lone type lies
+    inside the triangle of the other three.  Each predicate reads the
+    certified orientations of the four point triples; three collinear
+    points, or an orientation that boxes of width _ORIENT_FLOOR leave
+    open, make the check not applicable.  Any other pattern is flagged as
+    a counterexample (impossible for the families under study, so it
+    signals an input or implementation error).
     """
     if report.degenerate_family or len(report.points) != 4:
         return BerlinskiiResult("not_applicable",
@@ -403,26 +403,38 @@ def berlinskii_check(report: SingularityReport) -> BerlinskiiResult:
     if any(p.kind == "degenerate" for p in report.points):
         return BerlinskiiResult("not_applicable",
                                 detail="degenerate point present")
-    coords = [p.point.midpoint() for p in report.points]
     indices = [p.index for p in report.points]
-    hull = _convex_hull(coords)
-    if len(hull) == 4:
-        ring = [indices[i] for i in hull]
-        if all(ring[i] != ring[(i + 1) % 4] for i in range(4)):
-            return BerlinskiiResult("convex_alternating")
+    saddles = [i for i in range(4) if indices[i] == -1]
+    others = [i for i in range(4) if indices[i] != -1]
+    if len(saddles) == 2:  # segments ab and cd cross
+        (a, b), (c, d) = saddles, others
+        triples = [(a, b, c), (a, b, d), (c, d, a), (c, d, b)]
+    elif len(saddles) in (1, 3):  # the lone point l is inside abc
+        (lone,), (a, b, c) = sorted((saddles, others), key=len)
+        triples = [(a, b, c), (a, b, lone), (b, c, lone), (c, a, lone)]
+    else:
         return BerlinskiiResult("counterexample",
-                                detail=f"hull indices {ring} do not alternate")
-    if len(hull) == 3:
-        inner = next(i for i in range(4) if i not in hull)
-        outer = [indices[i] for i in hull]
-        if len(set(outer)) == 1 and indices[inner] == -outer[0]:
-            side = "saddle_inside" if indices[inner] == -1 else "antisaddle_inside"
-            return BerlinskiiResult("triangle_config", orientation=side)
+                                detail=f"all four indices are {indices[0]}")
+    # copies, so the narrow boxes do not change the report's enclosures
+    pts = [copy.copy(p.point) for p in report.points]
+    signs = [_orientation([pts[i] for i in t]) for t in triples]
+    if not all(signs):
+        return BerlinskiiResult("not_applicable",
+                                detail="three points are collinear or undecided")
+    if len(saddles) == 2:
+        if signs[0] != signs[1] and signs[2] != signs[3]:
+            return BerlinskiiResult("convex_alternating")
         return BerlinskiiResult(
             "counterexample",
-            detail=f"triangle indices outer={outer} inner={indices[inner]}",
-        )
-    return BerlinskiiResult("not_applicable", detail="points are collinear")
+            detail=f"saddles {saddles} and antisaddles {others} are not "
+                   "alternate vertices of a convex quadrilateral")
+    if len(set(signs)) == 1:
+        side = "saddle_inside" if indices[lone] == -1 else "antisaddle_inside"
+        return BerlinskiiResult("triangle_config", orientation=side)
+    return BerlinskiiResult(
+        "counterexample",
+        detail=f"point {lone} of index {indices[lone]} is not inside the "
+               f"triangle of points {[a, b, c]}")
 
 
 def index_sum(report: SingularityReport) -> Optional[int]:

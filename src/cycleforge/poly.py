@@ -22,7 +22,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .scalars import QuadExt, ScalarLike, format_scalar, gcd, inverse, is_zero, lcm
+from .scalars import (QuadExt, ScalarLike, as_fraction, format_scalar, gcd, inverse,
+                      is_zero, lcm)
 
 
 class _MinusInf:
@@ -260,6 +261,22 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         k = max(self._c)
         return _unpack(k, len(self.variables)), self._scalar(self._c[k])
+
+    def primitive(self) -> "MultiPoly":
+        """The canonical unit multiple: coprime integer coefficients with a
+        positive graded-lex leading coefficient, or monic when a coefficient
+        is irrational.  Zero stays zero."""
+        if not self._c:
+            return self
+        p = self
+        if p._d is None:
+            if any(isinstance(v, QuadExt) and v.b for v in p._c.values()):
+                return p._scale(inverse(p._c[max(p._c)]))
+            p = _from_scalars(p.variables, {k: as_fraction(v) for k, v in p._c.items()})
+        g = gcd(*p._c.values())
+        if p._c[max(p._c)] < 0:
+            g = -g
+        return _new(p.variables, {k: v // g for k, v in p._c.items()}, 1)
 
     # -- variable alignment --------------------------------------------------
 

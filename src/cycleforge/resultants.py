@@ -16,41 +16,17 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .poly import MINUS_INF, MultiPoly, format_poly
-from .scalars import QuadExt, inverse, is_zero
+from .scalars import is_zero
 
 
-# -- normalization -------------------------------------------------------------
-
-
-def normalize_unit(p: MultiPoly) -> MultiPoly:
-    """Scale by a unit so output is canonical: integer coprime coefficients
-    and positive graded-lex leading coefficient (monic over Q(sqrt d))."""
-    if p.is_zero():
-        return p
-    coeffs = [c.constant_value() for c in p.collect(p.variables).values()]
-    if any(isinstance(c, QuadExt) and c.b != 0 for c in coeffs):
-        _, lead = p.leading()
-        return p * inverse(lead)
-    fracs = [c.a if isinstance(c, QuadExt) else Fraction(c) for c in coeffs]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    num = 0
-    for c in fracs:
-        num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    _, lead = p.leading()
-    lead = lead.a if isinstance(lead, QuadExt) else lead
-    if lead < 0:
-        scale = -scale
-    return p * scale
+# -- unit multiples -----------------------------------------------------------
 
 
 def unit_multiple_of(p: MultiPoly, q: MultiPoly) -> bool:
     """True when p and q differ by a nonzero scalar factor."""
     if p.is_zero() or q.is_zero():
         return p.is_zero() and q.is_zero()
-    return normalize_unit(p) == normalize_unit(q)
+    return p.primitive() == q.primitive()
 
 
 # -- subresultant PRS and resultants -------------------------------------------
@@ -208,14 +184,7 @@ def specialize_check(f: MultiPoly, g: MultiPoly, var: str, point: dict) -> Speci
 
 def _content(p: MultiPoly, var: str) -> MultiPoly:
     # lowest degree first: a constant coefficient ends the loop at once
-    coeffs = sorted((c for c in p.coeffs_in(var) if not c.is_zero()),
-                    key=MultiPoly.degree)
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = multivariate_gcd(g, c)
-        if g.is_constant():
-            break
-    return normalize_unit(g)
+    return gcd_many(sorted(p.coeffs_in(var), key=MultiPoly.degree))
 
 
 def multivariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -227,9 +196,9 @@ def multivariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """
     p, q = MultiPoly._align(p, q)
     if p.is_zero():
-        return normalize_unit(q)
+        return q.primitive()
     if q.is_zero():
-        return normalize_unit(p)
+        return p.primitive()
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(1, p.variables)
     var = next((v for v in p.variables if _deg(p, v) or _deg(q, v)), None)
@@ -242,7 +211,7 @@ def multivariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     g = _subresultants(pp, qq, var)[-1][0]
     g = g.exact_div(_content(g, var)) if _deg(g, var) else MultiPoly.const(1, p.variables)
     cg = multivariate_gcd(cp, cq)
-    return normalize_unit(cg * g)
+    return (cg * g).primitive()
 
 
 def gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
@@ -254,7 +223,7 @@ def gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
         g = multivariate_gcd(g, p)
         if g.is_constant():
             break
-    return normalize_unit(g)
+    return g.primitive()
 
 
 # -- bounded linear-factor extraction ----------------------------------------------
@@ -392,75 +361,47 @@ class EliminationTrace:
         }
 
 
-def _factor_stage_poly(r: MultiPoly, shared: MultiPoly, bound: int):
-    """Split r into (factor list, remainder) pulling out `shared` and bounded
-    linear factors."""
-    factors = []
-    rem = r
-    if not shared.is_constant():
-        lin_shared, core = extract_linear_factors(shared, bound)
-        for f, m in lin_shared:
-            rem, total = _divide_out(rem, f)
-            if total:
-                factors.append((f, total))
-        if not core.is_constant():
-            rem, total = _divide_out(rem, core)
-            if total:
-                factors.append((normalize_unit(core), total))
-    extra, rem = extract_linear_factors(rem, bound)
-    for f, m in extra:
-        merged = False
-        for i, (f0, m0) in enumerate(factors):
-            if unit_multiple_of(f0, f):
-                factors[i] = (f0, m0 + m)
-                merged = True
-                break
-        if not merged:
-            factors.append((f, m))
-    return factors, normalize_unit(rem)
-
-
 def cascade(system: Sequence[MultiPoly], elimination_order: Sequence[str],
             coeff_bound: int = 4) -> List[EliminationTrace]:
     """Iterated-resultant elimination with shared-factor splitting.
 
-    Stage t eliminates elimination_order[t] by taking Res(first, other_i);
-    the GCD of the stage's resultants plus bounded linear factors are split
-    off, and the stripped remainders feed the next stage.
+    Identically zero equations hold everywhere and are dropped first.
+    Stage t eliminates elimination_order[t] by taking Res(first, other_i).
+    The gcd of the stage's nonzero resultants is split once into its
+    bounded linear factors and the rest; each resultant's factor list is
+    those shared factors at their multiplicity in it, then its own bounded
+    linear factors, and the stripped remainders feed the next stage.
     """
-    if len(system) < 2:
-        raise ValueError("cascade needs at least two equations")
-    inputs = list(system)
+    inputs = [p for p in system if not p.is_zero()]
+    if len(inputs) < 2:
+        raise ValueError("cascade needs at least two nonzero equations")
     traces: List[EliminationTrace] = []
     for stage, var in enumerate(elimination_order, start=1):
         if len(inputs) < 2:
             break
         first = inputs[0]
-        others = inputs[1:]
-        resultants = [resultant(first, g, var) for g in others]
+        resultants = [resultant(first, g, var) for g in inputs[1:]]
         zero_idx = [i for i, r in enumerate(resultants) if r.is_zero()]
         nonzero = [r for r in resultants if not r.is_zero()]
-        shared = gcd_many(nonzero) if nonzero else MultiPoly.zero()
+        stage_gcd = gcd_many(nonzero)
+        linear, core = (([], stage_gcd) if stage_gcd.is_constant()
+                        else extract_linear_factors(stage_gcd, coeff_bound))
+        shared = [f for f, _ in linear] + ([] if core.is_constant() else [core.primitive()])
         factors_per = []
         remainders = []
         for r in resultants:
-            if r.is_zero():
-                factors_per.append([])
-                remainders.append(r)
-                continue
-            fs, rem = _factor_stage_poly(r, shared, coeff_bound)
+            fs, rem = [], r
+            if not r.is_zero():
+                for f in shared:
+                    rem, m = _divide_out(rem, f)
+                    fs.append((f, m))
+                extra, rem = extract_linear_factors(rem, coeff_bound)
+                fs += extra
+                rem = rem.primitive()
             factors_per.append(fs)
             remainders.append(rem)
-        common: List[tuple] = []
-        if nonzero:
-            per_nonzero = [fs for r, fs in zip(resultants, factors_per) if not r.is_zero()]
-            for f, m in per_nonzero[0]:
-                mmin = m
-                for fs in per_nonzero[1:]:
-                    match = next((mm for ff, mm in fs if unit_multiple_of(ff, f)), 0)
-                    mmin = min(mmin, match)
-                if mmin:
-                    common.append((f, mmin))
+        per_nonzero = [fs for r, fs in zip(resultants, factors_per) if not r.is_zero()]
+        common = [(f, min(fs[i][1] for fs in per_nonzero)) for i, f in enumerate(shared)]
         lead = first.coeff_of(var, _deg(first, var))
         branch = None if lead.is_constant() else _drop_var(lead, var)
         trace = EliminationTrace(

@@ -223,13 +223,13 @@ def rational_roots(coeffs: list) -> List[Fraction]:
         k += 1
     hits = {Fraction(0)} if k > 0 else set()
     body = ints[k:]
-    n = deg(body)
     a0, an = abs(body[0]), abs(body[-1])
     # candidates p/q in lowest terms, |p/q| within the Cauchy bound,
     # evaluated by integer arithmetic on the homogenization
     height = an + max(abs(c) for c in body)
+    pdivs = _divisors(a0)
     for qdiv in _divisors(an):
-        for pdiv in _divisors(a0):
+        for pdiv in pdivs:
             if math.gcd(pdiv, qdiv) != 1 or pdiv * an > height * qdiv:
                 continue
             for p in (pdiv, -pdiv):

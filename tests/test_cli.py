@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,26 @@ def test_eliminate_smoke(capsys):
     assert stages[0]["eliminated_variable"] == "a11"
 
 
+def test_eliminate_drops_a_quantity_that_vanishes_identically(tmp_path, capsys):
+    # L1 is identically zero and L2 = -16/15*s^3 + 16/15*s
+    src = tmp_path / "fam.json"
+    src.write_text(json.dumps({"f": "y + s*x*y + y^2", "g": "-x + s*x^2 + x*y",
+                               "variables": ["x", "y", "s"]}))
+    code, out, err = run(capsys, "eliminate", "--file", str(src), "--N", "3",
+                         "--order", "s")
+    assert code == 0 and err == ""
+    stages = json.loads(out)
+    assert stages[0]["inputs"][0] == "-16/15*s^3+16/15*s"
+
+
+def test_eliminate_on_a_family_without_nonzero_quantities_is_input_error(tmp_path, capsys):
+    src = tmp_path / "fam.json"
+    src.write_text(json.dumps({"f": "y", "g": "-x", "variables": ["x", "y", "s"]}))
+    code, out, err = run(capsys, "eliminate", "--file", str(src), "--N", "3",
+                         "--order", "s")
+    assert code == 2 and "at least two nonzero equations" in err
+
+
 def test_simulate_csv(tmp_path, capsys):
     dst = tmp_path / "traj.csv"
     code, out, err = run(capsys, "simulate", "--family", "P4",
@@ -272,6 +293,23 @@ def test_berlinskii_raw_pair(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["berlinskii"]["configuration"] == "convex_alternating"
+
+
+def test_berlinskii_decides_orientations_on_certified_boxes(tmp_path, capsys):
+    # two of the zeros are less than 10^-11 apart; the midpoints of
+    # 1e-9 boxes made this convex quadrilateral look like a triangle with
+    # the wrong indices
+    src = tmp_path / "near.json"
+    src.write_text(json.dumps({"f": "x^2 - 2",
+                               "g": "(y - x)*(y - 141421356237/100000000000)"}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "berlinskii", "--file", str(src), "--raw-pair",
+                         "--strict")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["berlinskii"]["configuration"] == "convex_alternating"
+    assert sorted(p["index"] for p in data["singularities"]["points"]) == [-1, -1, 1, 1]
 
 
 def test_irrational_grid_exits_0(tmp_path, capsys):

@@ -299,6 +299,50 @@ def test_berlinskii_not_applicable():
     assert res.configuration == "not_applicable"
 
 
+def _exact_report(points):
+    """A report of exact points [(x, y, index)], each classified by its index."""
+    one = MultiPoly.const(1, ("u", "s"))
+    return dynamics.SingularityReport(points=[
+        dynamics.SingularPoint(
+            dynamics.CertifiedPoint((1, 0, 0, 1), Fraction(y), one * Fraction(-x), one),
+            -index, 1, "saddle" if index < 0 else "antisaddle_node", index)
+        for x, y, index in points])
+
+
+@pytest.mark.parametrize("points, configuration, orientation", [
+    ([(0, 0, 1), (1, 0, -1), (1, 1, 1), (0, 1, -1)], "convex_alternating", None),
+    ([(0, 0, 1), (1, 0, 1), (1, 1, -1), (0, 1, -1)], "counterexample", None),
+    ([(0, 0, 1), (4, 0, 1), (0, 4, 1), (1, 1, -1)], "triangle_config", "saddle_inside"),
+    ([(1, 1, 1), (0, 0, -1), (4, 0, -1), (0, 4, -1)], "triangle_config",
+     "antisaddle_inside"),
+    ([(0, 0, 1), (4, 0, 1), (0, 4, -1), (1, 1, -1)], "counterexample", None),
+    ([(0, 0, 1), (4, 0, 1), (0, 4, -1), (1, 1, 1)], "counterexample", None),
+    ([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, -1)], "counterexample", None),
+    ([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], "counterexample", None),
+    ([(0, 0, 1), (1, 1, -1), (2, 2, 1), (0, 1, -1)], "not_applicable", None),
+])
+def test_berlinskii_predicates_on_exact_points(points, configuration, orientation):
+    res = dynamics.berlinskii_check(_exact_report(points))
+    assert (res.configuration, res.orientation) == (configuration, orientation)
+
+
+def test_berlinskii_gives_up_on_collinear_irrational_points():
+    # four zeros on y = x, two of them irrational: no box decides a triple
+    f, g = _pair("y - x", "(x^2 - 2)*(x - 1)*(x - 3)")
+    rep = dynamics.pair_report(f, g)
+    assert len(rep.points) == 4
+    res = dynamics.berlinskii_check(rep)
+    assert res.configuration == "not_applicable" and "collinear" in res.detail
+
+
+def test_berlinskii_leaves_the_report_enclosures_alone():
+    f, g = _pair("x^2 - 2", "(y - x)*(y - 141421356237/100000000000)")
+    fresh = dynamics.pair_report(f, g).to_json()
+    rep = dynamics.pair_report(f, g)
+    assert dynamics.berlinskii_check(rep).configuration == "convex_alternating"
+    assert rep.to_json() == fresh
+
+
 def test_contact_points_on_transversal_line():
     # symmetric center family at the slice y = 0
     fld = VectorField(parse_poly("x*y", ("x", "y")),

@@ -281,15 +281,15 @@ rationals = st.builds(Fraction, st.integers(-(2**60), 2**60), st.integers(1, 2**
 
 
 @st.composite
-def kernel_polys(draw, variables=None, quad=None):
-    """A polynomial in 1-8 variables; some coefficients may lie in Q(sqrt 6)."""
+def kernel_polys(draw, variables=None, quad=None, d=6):
+    """A polynomial in 1-8 variables; some coefficients may lie in Q(sqrt d)."""
     if variables is None:
         variables = tuple(draw(st.permutations(POOL))[:draw(st.integers(1, 8))])
     if quad is None:
         quad = draw(st.booleans())
     scalar = rationals
     if quad:
-        surds = st.builds(QuadExt, rationals, rationals, st.just(6))
+        surds = st.builds(QuadExt, rationals, rationals, st.just(d))
         scalar = st.one_of(rationals, surds)
     exps = st.tuples(*[st.integers(0, 3)] * len(variables))
     terms = draw(st.dictionaries(exps, scalar.filter(lambda c: c != 0), max_size=5))
@@ -380,6 +380,30 @@ def test_collect_round_trip_and_term_order_match_sympy(p, data):
         gens = [sympy.Symbol(v) for v in p.variables]
         grlex = sympy.Poly(_sym(sympy, p), *gens, extension=True).terms(order="grlex")
         assert ours == [m for m, _ in grlex]
+
+
+@ORACLE
+@given(st.booleans().flatmap(lambda quad: kernel_polys(quad=quad, d=2)))
+def test_primitive_matches_sympy(p):
+    # over Q: sympy's primitive part, signed so the graded-lex leading
+    # coefficient is positive; with an irrational coefficient: monic in
+    # graded-lex order over Q(sqrt 2)
+    sympy = pytest.importorskip("sympy")
+    ours = p.primitive()
+    assert ours.primitive() == ours
+    if p.is_zero():
+        assert ours.is_zero()
+        return
+    gens = [sympy.Symbol(v) for v in p.variables]
+    P = sympy.Poly(_sym(sympy, p), *gens, extension=True)
+    if P.domain.is_AlgebraicField:
+        theirs = P.quo_ground(P.LC(order="grlex"))
+    else:
+        theirs = P.primitive()[1]
+        if theirs.LC(order="grlex") < 0:
+            theirs = -theirs
+        assert all(c.denominator == 1 for c in ours.terms.values())
+    assert (sympy.Poly(_sym(sympy, ours), *gens, extension=True) - theirs).is_zero
 
 
 def test_exponent_overflow_raises_and_never_carries():

@@ -9,13 +9,13 @@ import pytest
 
 from cycleforge.poly import MultiPoly, parse_poly, format_poly
 from cycleforge.resultants import (
+    _divide_out,
     _prem,
     cascade,
     extract_linear_factors,
     first_subresultant,
     gcd_many,
     multivariate_gcd,
-    normalize_unit,
     resultant,
     specialize_check,
     subresultant,
@@ -99,11 +99,15 @@ def test_extract_linear_factors():
     assert unit_multiple_of(rest, parse_poly("x^2 + y^2 + 1", rest.variables))
 
 
-def test_normalize_unit_idempotent_and_monic_like():
+def test_primitive_idempotent_and_monic_like():
     p = parse_poly("-4*x^2 + 8*y")
-    n = normalize_unit(p)
-    assert normalize_unit(n) == n
+    n = p.primitive()
+    assert n.primitive() == n and format_poly(n) == "x^2-2*y"
     assert unit_multiple_of(n, p)
+    q = parse_poly("sqrt(2)*x^2 - 4*y")
+    m = q.primitive()
+    assert m.primitive() == m and format_poly(m) == "x^2-2*sqrt(2)*y"
+    assert unit_multiple_of(m, q)
 
 
 def test_first_subresultant_recovers_shared_root():
@@ -156,6 +160,99 @@ def test_cascade_on_simple_system():
 def test_cascade_needs_two_equations():
     with pytest.raises(ValueError):
         cascade([parse_poly("x")], ["x"])
+    zero = MultiPoly.zero(("x",))
+    with pytest.raises(ValueError, match="at least two nonzero equations"):
+        cascade([zero, parse_poly("x"), zero], ["x"])
+
+
+def test_cascade_drops_identically_zero_equations():
+    f, g = parse_poly("x + y - 3"), parse_poly("x^2 - y")
+    zero = MultiPoly.zero(f.variables)
+    with_zero = cascade([zero, f, zero, g], ["x"])
+    assert [t.to_json() for t in with_zero] == [t.to_json() for t in cascade([f, g], ["x"])]
+
+
+def _reference_stage(resultants, bound):
+    """Factor lists, remainders and common factors of one stage by the
+    earlier splitting: the stage gcd split again for every resultant, own
+    factors merged into it by unit multiples, and the common factors found
+    by matching unit multiples across the lists."""
+    nonzero = [r for r in resultants if not r.is_zero()]
+    shared = gcd_many(nonzero) if nonzero else MultiPoly.zero()
+    factors_per, remainders = [], []
+    for r in resultants:
+        if r.is_zero():
+            factors_per.append([])
+            remainders.append(r)
+            continue
+        factors, rem = [], r
+        if not shared.is_constant():
+            lin_shared, core = extract_linear_factors(shared, bound)
+            for f, _ in lin_shared:
+                rem, total = _divide_out(rem, f)
+                if total:
+                    factors.append((f, total))
+            if not core.is_constant():
+                rem, total = _divide_out(rem, core)
+                if total:
+                    factors.append((core.primitive(), total))
+        extra, rem = extract_linear_factors(rem, bound)
+        for f, m in extra:
+            for i, (f0, m0) in enumerate(factors):
+                if unit_multiple_of(f0, f):
+                    factors[i] = (f0, m0 + m)
+                    break
+            else:
+                factors.append((f, m))
+        factors_per.append(factors)
+        remainders.append(rem.primitive())
+    common = []
+    per_nonzero = [fs for r, fs in zip(resultants, factors_per) if not r.is_zero()]
+    if per_nonzero:
+        for f, m in per_nonzero[0]:
+            mmin = m
+            for fs in per_nonzero[1:]:
+                mmin = min(mmin, next((mm for ff, mm in fs if unit_multiple_of(ff, f)), 0))
+            if mmin:
+                common.append((f, mmin))
+    return factors_per, remainders, common
+
+
+def _listed(factors):
+    return [(format_poly(f), m) for f, m in factors]
+
+
+def test_cascade_matches_pairwise_matching_on_planted_factors():
+    rng = random.Random(19)
+    vs = ("x", "y", "a")
+
+    def linear(names, top=2):
+        form = MultiPoly.const(rng.randint(-top, top), vs)
+        for v in names:
+            form = form + MultiPoly.var(v, vs) * rng.randint(-top, top)
+        return form
+
+    start = time.perf_counter()
+    for _ in range(60):
+        # f linear in x, so Res_x(f, h*k) = Res_x(f, h) * Res_x(f, k) shares
+        # Res_x(f, h) across the stage; k may repeat h's linear factor
+        f = MultiPoly.var("x", vs) * rng.randint(1, 2) - linear(("y", "a"))
+        base = linear(("x", "y", "a"))
+        h = base ** rng.randint(1, 2)
+        if rng.random() < 0.5:
+            h = h * (MultiPoly.var("x", vs) ** 2 - linear(("y", "a")))
+        system = [f]
+        for _ in range(rng.randint(2, 3)):
+            k = base ** rng.randint(0, 1) * linear(("x", "a"), 3)
+            system.append(h * k * linear(("y",)) if rng.random() < 0.3 else h * k)
+        traces = cascade(system, ["x", "y"], coeff_bound=2)
+        for t in traces:
+            assert t.verify()
+            factors, remainders, common = _reference_stage(t.resultants, 2)
+            assert [_listed(fs) for fs in t.factors] == [_listed(fs) for fs in factors]
+            assert [format_poly(r) for r in t.remainders] == [format_poly(r) for r in remainders]
+            assert _listed(t.common_factors) == _listed(common)
+    assert time.perf_counter() - start < 5.0
 
 
 

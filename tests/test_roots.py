@@ -49,6 +49,24 @@ def test_rational_roots_recovers_constructed_roots(roots):
     assert rational_roots(coeffs) == sorted(set(roots))
 
 
+def test_rational_roots_lists_each_divisor_set_once(monkeypatch):
+    # (s - e)(s^2 - 2) with e = 141421356237/10^11: 10^11 has 144 divisors,
+    # and listing those of the constant term once per divisor took seconds
+    from cycleforge import roots
+
+    calls = []
+    divisors = roots._divisors
+
+    def counted(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(roots, "_divisors", counted)
+    e = Fraction(141421356237, 10**11)
+    assert rational_roots([2 * e, Fraction(-2), -e, Fraction(1)]) == [e]
+    assert len(calls) <= 2
+
+
 @given(small_roots)
 @settings(max_examples=40)
 def test_real_roots_sorted_and_complete(roots):

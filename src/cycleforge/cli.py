@@ -26,9 +26,9 @@ from .resultants import cascade
 # P9 orbit costs about 1.5 ms of integration, so 1e4 stays near 15 s.
 MAX_TMAX = 1.0e4
 
-# Largest `eliminate --bound` (the library default): the cascade tries
-# (2 b + 1)^(k + 1) linear forms in k parameters, and at b = 8
-# `eliminate --family P4 --N 5` runs for more than 90 s.
+# Largest `eliminate --bound` (the library default), the documented input
+# range: the bound filters the linear factors a cascade reports, and finding
+# them costs the same at every bound.
 MAX_BOUND = 4
 
 FAMILIES = {
@@ -177,6 +177,9 @@ def _cmd_eliminate(args) -> int:
     fam = _load_family(args)
     order = [s.strip() for s in args.order.split(",")]
     _check_parameters("--order", order, fam)
+    repeated = next((n for i, n in enumerate(order) if n in order[:i]), None)
+    if repeated is not None:
+        raise InputError(f"--order names parameter {repeated!r} more than once")
     rep = lyapunov.lyapunov_quantities(fam.P, fam.Q, args.N)
     traces = cascade(rep.quantities, order, coeff_bound=args.bound)
     _emit_json([t.to_json() for t in traces], args.out)
@@ -196,9 +199,12 @@ def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
         if not (isinstance(point, list) and len(point) == 2):
             raise InputError(f"{path}: point must be two rational coordinates")
         point = tuple(Fraction(str(c)) for c in point)
-        return bifurcation.build_perturbation(
-            base, terms, alpha_symbol=data.get("alpha", "alpha"), point=point
-        )
+        alpha = data.get("alpha", "alpha")
+        setup = bifurcation.build_perturbation(base, terms, alpha_symbol=alpha, point=point)
+        symbols = [sym for _, sym, _ in terms]
+        if alpha not in symbols:
+            raise InputError(f"{path}: alpha {alpha!r} names no symbol of terms {symbols}")
+        return setup
     except (KeyError, TypeError, PolyParseError, ValueError) as e:
         raise InputError(f"{path}: {e}")
     except ZeroDivisionError:

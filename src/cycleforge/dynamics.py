@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .centers import cofactor
-from .fields import VectorField, in_plane
-from .poly import MultiPoly, format_poly, parse_poly
+from .fields import VectorField, in_plane, square_factors
+from .poly import MultiPoly, format_poly
 from .resultants import multivariate_gcd, resultant, subresultant, substitute_ratio
 from .roots import (
     IsolatingInterval,
@@ -309,8 +309,7 @@ def singularities_in_delta(
     if region not in ("delta", "all"):
         raise ValueError("region must be 'delta' or 'all'")
     fb = field.bind(dict(binding or {}))
-    lx = parse_poly("4*x^2 - 1", fb.variables)
-    ly = parse_poly("4*y^2 - 1", fb.variables)
+    lx, ly = square_factors(fb.variables)
     return _report(fb.f, fb.g, fb.P, fb.Q, lambda pt: region == "all" or (
         pt.sign_of(lx) < 0 and pt.sign_of(ly) < 0))
 

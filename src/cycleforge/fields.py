@@ -27,6 +27,12 @@ def in_plane(*polys: MultiPoly) -> list:
     return [p.with_variables(XY) for p in polys]
 
 
+def square_factors(variables: Sequence[str]) -> tuple:
+    """(4x^2 - 1, 4y^2 - 1) over the given variables, which hold x and y."""
+    x, y = MultiPoly.var("x", variables), MultiPoly.var("y", variables)
+    return 4 * x**2 - 1, 4 * y**2 - 1
+
+
 def _xy_degree(p: MultiPoly) -> int:
     return max(p.graded(XY), default=0)
 
@@ -47,9 +53,7 @@ class VectorField:
         if "x" not in f.variables or "y" not in f.variables:
             raise ValueError("field components must use variables x and y")
         self.f, self.g = f, g
-        variables = f.variables
-        sq_x = parse_poly("4*x^2 - 1", variables)
-        sq_y = parse_poly("4*y^2 - 1", variables)
+        sq_x, sq_y = square_factors(f.variables)
         self.P = sq_x * f
         self.Q = sq_y * g
         self.d = max(_xy_degree(f), _xy_degree(g))

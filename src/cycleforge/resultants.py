@@ -1,6 +1,6 @@
 """Subresultants (the resultant among them) and multivariate GCDs from one
-subresultant PRS, elimination cascades and bounded linear-factor
-extraction.
+subresultant PRS, elimination cascades and linear-factor extraction by
+specialization.
 
 The cascade mirrors the iterated-resultant method for polynomial systems:
 eliminate one variable at a time, split off factors shared by the stage's
@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .poly import MINUS_INF, MultiPoly, format_poly
+from .roots import poly_to_coeffs, rational_roots
 from .scalars import is_zero
 
 
@@ -226,44 +226,7 @@ def gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
     return g.primitive()
 
 
-# -- bounded linear-factor extraction ----------------------------------------------
-
-
-def _linear_candidates(variables: tuple, bound: int):
-    """Primitive integer linear forms c0 + sum ci vi, deduplicated up to sign."""
-    span = range(-bound, bound + 1)
-    for coeffs in itertools.product(span, repeat=len(variables) + 1):
-        c0, cv = coeffs[0], coeffs[1:]
-        if all(c == 0 for c in cv):
-            continue
-        first = next(c for c in cv if c != 0)
-        if first < 0:
-            continue  # sign-normalized duplicate
-        g = 0
-        for c in coeffs:
-            g = math.gcd(g, abs(c))
-        if g != 1:
-            continue
-        yield coeffs
-
-
-def _candidate_filter_point(p: MultiPoly, cand: tuple, variables: tuple, salt: int) -> bool:
-    """Cheap necessary test: p must vanish at a point on the candidate's zero set."""
-    c0, cv = cand[0], cand[1:]
-    pivot = max(range(len(cv)), key=lambda i: abs(cv[i]))
-    # deterministic pseudo-random rational assignments for the other variables
-    point = {}
-    acc = Fraction(c0)
-    state = salt
-    for i, v in enumerate(variables):
-        if i == pivot:
-            continue
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 63)
-        val = Fraction((state % 19) - 9, (state // 19) % 7 + 2)
-        point[v] = val
-        acc += cv[i] * val
-    point[variables[pivot]] = -acc / cv[pivot]
-    return is_zero(p.eval_scalar(point))
+# -- linear factors by specialization ---------------------------------------------
 
 
 def _divide_out(p: MultiPoly, f: MultiPoly) -> tuple:
@@ -276,35 +239,71 @@ def _divide_out(p: MultiPoly, f: MultiPoly) -> tuple:
         p, mult = q, mult + 1
 
 
+def _points(k: int):
+    """The points of {1..n}^k for n = 1, 2, ..., each once: a nonzero
+    polynomial of degree below n in each variable is nonzero at one of them."""
+    for n in itertools.count(1):
+        for r in itertools.product(range(1, n + 1), repeat=k):
+            if max(r, default=n) == n:
+                yield r
+
+
 def extract_linear_factors(p: MultiPoly, coeff_bound: int = 4):
     """All integer linear-form factors with |coefficients| <= coeff_bound.
 
     Returns (factors, remainder) with factors a list of (MultiPoly, mult)
-    and p == remainder * prod(factor**mult) exactly.
+    and p == remainder * prod(factor**mult) exactly.  Each factor is the
+    primitive form c0 + sum ci vi over p.used_variables() with its first
+    nonzero ci positive, in lexicographic order of (c0, c1, ...).
+
+    Every linear factor is found by specialization; the bound then filters
+    them.  A factor a*v + B(w), a != 0, free of the variables before v
+    (their factors are gone) vanishes at v = -B(w)/a.  At an integer point r
+    where lc_v(p) vanishes at none of r, r + e_j, r + 2e_j, that root is a
+    rational root of p(v, r) and moves by -b_j/a per step in w_j; candidates
+    read off these roots are confirmed by exact division.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
-    if p.is_zero():
-        return [], p
     variables = p.used_variables()
-    if not variables:
-        return [], p
-    factors = []
+    found = {}  # coefficient tuple -> (form, multiplicity)
     rem = p
-    for cand in _linear_candidates(variables, coeff_bound):
-        if rem.is_constant():
-            break
-        if not _candidate_filter_point(rem, cand, variables, salt=12345):
+    for i, v in enumerate(variables):
+        if not _deg(rem, v):
             continue
-        if not _candidate_filter_point(rem, cand, variables, salt=98765):
-            continue
-        form = MultiPoly.const(Fraction(cand[0]), variables)
-        for c, v in zip(cand[1:], variables):
-            if c:
-                form = form + MultiPoly.var(v, variables) * Fraction(c)
-        rem, mult = _divide_out(rem, form)
-        if mult:
-            factors.append((form, mult))
+        lead = rem.coeffs_in(v)[-1]
+        others = [w for w in rem.used_variables() if w != v]
+        later = [w for w in variables[i + 1:] if w in others]
+        for r in _points(len(others)):
+            base = dict(zip(others, r))
+            pts = [base] + [{**base, w: base[w] + t} for w in later for t in (1, 2)]
+            if not any(is_zero(lead.eval_scalar(pt)) for pt in pts):
+                break
+        roots = [rational_roots(poly_to_coeffs(rem.evaluate(pts[0]), v))]
+        if roots[0]:
+            roots += [rational_roots(poly_to_coeffs(rem.evaluate(pt), v)) for pt in pts[1:]]
+        for rho in roots[0]:
+            slopes = [[x - rho for x in roots[j] if 2 * x - rho in roots[j + 1]]
+                      for j in range(1, len(pts), 2)]
+            for s in itertools.product(*slopes):
+                # v = rho + sum s_j (w_j - r_j), in coprime integers
+                shift = dict(zip(later, s))
+                coeffs = [sum(shift[w] * base[w] for w in later) - rho]
+                coeffs += [1 if u == v else -shift.get(u, 0) for u in variables]
+                den = math.lcm(*(c.denominator for c in coeffs))
+                ints = [int(c * den) for c in coeffs]
+                key = tuple(c // math.gcd(*ints) for c in ints)
+                form = sum((MultiPoly.var(u, variables) * c for u, c in zip(variables, key[1:])),
+                           MultiPoly.const(key[0], variables))
+                rem, m = _divide_out(rem, form)
+                if m:
+                    found[key] = (form, m)
+    factors = []
+    for key, (form, m) in sorted(found.items()):
+        if max(map(abs, key)) <= coeff_bound:
+            factors.append((form, m))
+        else:
+            rem = rem * form**m
     return factors, rem
 
 

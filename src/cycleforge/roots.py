@@ -195,65 +195,63 @@ def _rational_component_polys(coeffs: list):
     return strip(p1), strip(p2)
 
 
-def rational_roots(coeffs: list) -> List[Fraction]:
-    """The distinct rational roots, ascending, via the rational-root theorem."""
-    coeffs = strip(coeffs[:])
-    if not coeffs or deg(coeffs) == 0:
-        return []
+def _rational_base(coeffs: list) -> list:
+    """The rational polynomial whose roots are the rational roots of coeffs:
+    over Q(sqrt(d)), the gcd of its two component polynomials."""
     p1, p2 = _rational_component_polys(coeffs)
-    if p2:
-        g = gcd_univariate(p1, p2) if p1 else p2
-        if deg(g) == 0:
-            return []
-        base = g
-    else:
-        base = p1
-    # clear denominators to a primitive integer polynomial
+    return gcd_univariate(p1, p2) if p1 and p2 else p1 or p2
+
+
+def rational_roots(coeffs: list) -> List[Fraction]:
+    """The distinct rational roots, ascending."""
+    return _lifted_roots(squarefree_part(_rational_base(coeffs)))
+
+
+def _lifted_roots(sf: list) -> List[Fraction]:
+    """The rational roots of a square-free rational polynomial, ascending.
+
+    On integer coefficients a_i, a root in lowest terms has a denominator
+    dividing a_n, so a_n times it is an integer of absolute value at most
+    |a_n| + max |a_i| (Cauchy).  Modulo the least prime p that divides no
+    a_n and at which every root is simple, each root lifts by Newton's
+    iteration to a unique p-adic root; a_n times it, as a symmetric residue
+    modulo p^(2^j) above twice that bound, is the one candidate, checked
+    exactly (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    The work grows with the degree and the size of the coefficients, not
+    with the divisors of a_0 and a_n.
+    """
+    if deg(sf) < 1:
+        return []
     den = 1
-    for c in base:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in base]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    if content > 1:
-        ints = [c // content for c in ints]
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    hits = {Fraction(0)} if k > 0 else set()
-    body = ints[k:]
-    a0, an = abs(body[0]), abs(body[-1])
-    # candidates p/q in lowest terms, |p/q| within the Cauchy bound,
-    # evaluated by integer arithmetic on the homogenization
-    height = an + max(abs(c) for c in body)
-    pdivs = _divisors(a0)
-    for qdiv in _divisors(an):
-        for pdiv in pdivs:
-            if math.gcd(pdiv, qdiv) != 1 or pdiv * an > height * qdiv:
-                continue
-            for p in (pdiv, -pdiv):
-                acc = body[-1]
-                qq = 1
-                for c in reversed(body[:-1]):
-                    qq *= qdiv
-                    acc = acc * p + c * qq
-                if acc == 0:
-                    hits.add(Fraction(p, qdiv))
+    for c in sf:  # pairwise: lcm(*generator) per call grew the tuple free lists
+        den = math.lcm(den, c.denominator)
+    ints = [int(c * den) for c in sf]
+    hits = [Fraction(0)] if ints[0] == 0 else []
+    body = ints[1:] if ints[0] == 0 else ints  # square-free: 0 is a simple root
+    an = body[-1]
+    if len(body) == 1:
+        return hits
+    bound = abs(an) + max(abs(c) for c in body[:-1])
+    dbody = derivative(body)
+    p = 1
+    while True:
+        p += 1
+        if an % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        zs = [z for z in range(p) if horner(body, z) % p == 0]
+        if all(horner(dbody, z) % p for z in zs):
+            break
+    for z in zs:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            z = (z - horner(body, z) * pow(horner(dbody, z), -1, m)) % m
+        n = an * z % m
+        r = Fraction(n - m if 2 * n > m else n, an)
+        num, q, top = r.numerator, r.denominator, len(body) - 1
+        if sum(c * num**i * q ** (top - i) for i, c in enumerate(body)) == 0:
+            hits.append(r)
     return sorted(hits)
-
-
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 # -- isolation --------------------------------------------------------------------
@@ -271,7 +269,7 @@ def real_roots(coeffs: list) -> List[RootLocation]:
 
 def _squarefree_real_roots(sf: list) -> List[RootLocation]:
     """`real_roots` of a square-free polynomial of positive degree."""
-    rroots = rational_roots(sf)
+    rroots = _lifted_roots(_rational_base(sf))
     rest = sf
     for r in rroots:
         rest, rem = _divmod(rest, [-r, Fraction(1)])

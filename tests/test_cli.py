@@ -66,6 +66,9 @@ START = ["--start", "0.3,0"]
 TMAX = ["--tmax", "1"]
 # a --setup file up to its "point" value
 SETUP = 'json:{"base": {"f": "y", "g": "-x"}, "terms": [], "point": '
+# a --setup file up to its "alpha" value, which no term's symbol matches
+ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y", "mu"]}, '
+         '"terms": [["P", "lam", "(4*x^2-1)*y^2"]], "point": ["1/4", 0], "alpha": ')
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -107,6 +110,10 @@ SETUP = 'json:{"base": {"f": "y", "g": "-x"}, "terms": [], "point": '
     (["bifurcate", "--setup", SETUP + '[0, 0, 0]}'], "point"),
     (["bifurcate", "--setup", SETUP + '[]}'], "point"),
     (["lyap", "--file", 'json:{"f": "x^70000", "g": "y"}'], "16-bit field"),
+    (["eliminate", "--family", "P4", "--N", "3", "--order", "a11,a11", "--bound", "2"],
+     "'a11'"),
+    (["bifurcate", "--setup", ALPHA + '"a"}'], "alpha 'a'"),
+    (["bifurcate", "--setup", ALPHA + 'null}'], "alpha None"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)
@@ -226,6 +233,15 @@ def test_eliminate_smoke(capsys):
     assert code == 0
     stages = json.loads(out)
     assert stages[0]["eliminated_variable"] == "a11"
+
+
+def test_eliminate_at_bound_4_matches_the_bound_2_report(tmp_path):
+    # every linear factor of this cascade has coefficients within 1
+    dst = tmp_path / "report.json"
+    assert main(["eliminate", "--family", "P4", "--N", "5", "--order", "a11,a02,b20",
+                 "--bound", "4", "--out", str(dst)]) == 0
+    with open(os.path.join(REFERENCE, "eliminate-P4-N5.json"), "rb") as fh:
+        assert dst.read_bytes() == fh.read()
 
 
 def test_eliminate_drops_a_quantity_that_vanishes_identically(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Resultants, shared-factor extraction, and the elimination cascade."""
 
+import itertools
 import math
 import random
 import time
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cycleforge.poly import MultiPoly, parse_poly, format_poly
+from cycleforge.scalars import is_zero
 from cycleforge.resultants import (
     _divide_out,
     _prem,
@@ -97,6 +99,170 @@ def test_extract_linear_factors():
     found = {format_poly(f): m for f, m in factors}
     assert found == {"x+y": 2, "x-2*y": 1}
     assert unit_multiple_of(rest, parse_poly("x^2 + y^2 + 1", rest.variables))
+
+
+# the bounded coefficient search that extract_linear_factors replaced, kept
+# as a reference: every primitive form c0 + sum ci vi with |ci| <= bound,
+# first nonzero ci positive, in lexicographic order of (c0, c1, ...), each
+# filtered by p vanishing at two points of its zero set, then divided out
+
+
+def _reference_candidates(variables, bound):
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(variables) + 1):
+        cv = coeffs[1:]
+        if any(cv) and next(c for c in cv if c) > 0 and math.gcd(*coeffs) == 1:
+            yield coeffs
+
+
+def _reference_filter_point(p, cand, variables, salt):
+    c0, cv = cand[0], cand[1:]
+    pivot = max(range(len(cv)), key=lambda i: abs(cv[i]))
+    point, acc, state = {}, Fraction(c0), salt
+    for i, v in enumerate(variables):
+        if i == pivot:
+            continue
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 63)
+        point[v] = Fraction((state % 19) - 9, (state // 19) % 7 + 2)
+        acc += cv[i] * point[v]
+    point[variables[pivot]] = -acc / cv[pivot]
+    return is_zero(p.eval_scalar(point))
+
+
+def _reference_linear_factors(p, bound):
+    variables = p.used_variables()
+    factors, rem = [], p
+    for cand in _reference_candidates(variables, bound) if variables else ():
+        if rem.is_constant():
+            break
+        if not all(_reference_filter_point(rem, cand, variables, s) for s in (12345, 98765)):
+            continue
+        form = MultiPoly.const(Fraction(cand[0]), variables)
+        for c, v in zip(cand[1:], variables):
+            if c:
+                form = form + MultiPoly.var(v, variables) * Fraction(c)
+        rem, mult = _divide_out(rem, form)
+        if mult:
+            factors.append((form, mult))
+    return factors, rem
+
+
+def _exact(out):
+    """Factors and remainder of extract_linear_factors, representation included."""
+    factors, rem = out
+    return ([(format_poly(f), f.variables, m) for f, m in factors],
+            format_poly(rem), rem.variables, rem)
+
+
+def test_extract_linear_factors_matches_the_bounded_search():
+    rng = random.Random(23)
+    vs = ("x", "y", "z")
+
+    def linear(names, top):
+        form = MultiPoly.const(rng.randint(-top, top), vs)
+        for v in names:
+            form = form + MultiPoly.var(v, vs) * rng.choice([-top, -1, 1, top])
+        return form
+
+    cofactors = [parse_poly(t, vs) for t in
+                 ("1", "3", "x^2 + y*z + 1", "sqrt(2)*x + y^2 - 3", "sqrt(2)")]
+    start = time.perf_counter()
+    for case in range(24):
+        # repeated factors, and factors free of x, the first variable
+        names = vs if case % 3 else ("y", "z")
+        p = cofactors[case % len(cofactors)]
+        for _ in range(rng.randint(1, 3)):
+            form = linear(rng.sample(names, rng.randint(1, len(names))), rng.randint(1, 3))
+            p = p * form ** rng.randint(1, 2)
+        bound = 1 + case % 3
+        assert _exact(extract_linear_factors(p, bound)) == \
+            _exact(_reference_linear_factors(p, bound)), (format_poly(p), bound)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_extract_linear_factors_matches_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    vs = ("a11", "b20", "c")
+    syms = [sympy.Symbol(v) for v in vs]
+    nonlinear = ["a11^2 + b20*c + 1", "a11*b20 - 7*c^3 + 2", "1"]
+    for case in range(20):
+        p = parse_poly(nonlinear[case % 3], vs) * rng.randint(1, 9)
+        for _ in range(rng.randint(1, 3)):
+            form = MultiPoly.const(rng.randint(-9, 9), vs)
+            for v in rng.sample(vs, rng.randint(1, 3)):
+                form = form + MultiPoly.var(v, vs) * rng.choice([-9, -5, -1, 2, 6, 8])
+            p = p * form ** rng.randint(1, 2)
+        expr = _to_sympy(sympy, p)
+        want = {}
+        for f, m in sympy.factor_list(expr)[1]:
+            poly = sympy.Poly(f, *syms)
+            if poly.total_degree() == 1:
+                c = [poly.coeff_monomial(1)] + [poly.coeff_monomial(s) for s in syms]
+                lead = next(x for x in c[1:] if x)
+                want[tuple(int(x * (1 if lead > 0 else -1)) for x in c)] = m
+        for bound in (4, 9):
+            factors, rem = extract_linear_factors(p, bound)
+            used = p.used_variables()
+            got = {}
+            for f, m in factors:
+                c = [f.eval_scalar({v: 0 for v in used})]
+                c += [f.coeff_of(v, 1).constant_value() if v in used else 0 for v in vs]
+                got[tuple(int(x) for x in c)] = m
+            assert got == {k: m for k, m in want.items() if max(map(abs, k)) <= bound}
+            prod = rem
+            for f, m in factors:
+                prod = prod * f**m
+            assert prod == p
+
+
+def test_a_planted_factor_is_found_when_the_bound_admits_it():
+    vs = ("a11", "b20", "b11")
+    planted = parse_poly("7*a11 - 3*b20 + 5", vs)
+    p = planted * parse_poly("a11 + b11", vs) * parse_poly("a11^2 + b20*b11 - 2", vs)
+    for bound, want in ((4, ["a11+b11"]), (7, ["a11+b11", "7*a11-3*b20+5"])):
+        factors, rem = extract_linear_factors(p, bound)
+        assert sorted(format_poly(f) for f, _ in factors) == sorted(want)
+        assert (planted in [f for f, _ in factors]) == (bound == 7)
+        assert unit_multiple_of(rem * math.prod((f for f, _ in factors), start=1), p)
+
+
+def test_linear_factors_where_the_leading_coefficient_vanishes_at_the_first_points():
+    # the leading coefficient in x, (y - 1)(y - 3)(y - z), vanishes at the
+    # first points tried, y = z = 1, then at y = 3 and on y = z
+    vs = ("x", "y", "z")
+    for text, bound in (("(x - 2*y + 1)*((y - 1)*(y - 3)*x^2 + 2)", 2),
+                        ("(2*x + y - z)^2*((y - z)*x + y + 1)*(y - 1)", 2),
+                        ("((y - 1)*(y - 3)*(y - z)*x - 1)*(x + 3*z)", 3)):
+        p = parse_poly(text, vs)
+        assert _exact(extract_linear_factors(p, bound)) == \
+            _exact(_reference_linear_factors(p, bound)), text
+
+
+def test_linear_factor_work_does_not_grow_with_the_bound(monkeypatch):
+    from cycleforge import fields, lyapunov
+
+    fam = fields.p4_family()
+    quantities = [q for q in lyapunov.lyapunov_quantities(fam.P, fam.Q, 5).quantities
+                  if not q.is_zero()]
+    stage_gcd = gcd_many([resultant(quantities[0], g, "a11") for g in quantities[1:]])
+
+    def work(bound):
+        calls = []
+        for name in ("evaluate", "exact_div", "coeffs_in"):
+            method = getattr(MultiPoly, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(MultiPoly, name, counted)
+        out = extract_linear_factors(stage_gcd, bound)
+        monkeypatch.undo()
+        return sorted(calls), _exact(out)
+
+    (calls2, out2), (calls4, out4) = work(2), work(4)
+    assert calls2 == calls4 and out2 == out4
+    assert [f for f, _, _ in out2[0]] == ["b11", "b20", "a02-b20", "a02", "a02+b11", "a02+b20"]
 
 
 def test_primitive_idempotent_and_monic_like():

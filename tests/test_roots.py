@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,22 +50,41 @@ def test_rational_roots_recovers_constructed_roots(roots):
     assert rational_roots(coeffs) == sorted(set(roots))
 
 
-def test_rational_roots_lists_each_divisor_set_once(monkeypatch):
-    # (s - e)(s^2 - 2) with e = 141421356237/10^11: 10^11 has 144 divisors,
-    # and listing those of the constant term once per divisor took seconds
-    from cycleforge import roots
-
-    calls = []
-    divisors = roots._divisors
-
-    def counted(n):
-        calls.append(n)
-        return divisors(n)
-
-    monkeypatch.setattr(roots, "_divisors", counted)
+def test_rational_roots_of_large_coefficients_need_no_divisors():
+    # (s - e)(s^2 - 2) with e = 141421356237/10^11, whose denominator has
+    # 144 divisors, and (3s - 7)^2 (s^2 - 2q) with the prime q = 10^14 + 31,
+    # where listing the divisors of the constant term takes 10^8 trial
+    # divisions
     e = Fraction(141421356237, 10**11)
     assert rational_roots([2 * e, Fraction(-2), -e, Fraction(1)]) == [e]
-    assert len(calls) <= 2
+    start = time.perf_counter()
+    p = parse_poly(f"(3*s - 7)^2*(s^2 - {2 * (10**14 + 31)})")
+    assert rational_roots(poly_to_coeffs(p)) == [Fraction(7, 3)]
+    assert real_roots(poly_to_coeffs(p))[1] == Fraction(7, 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    s = sympy.Symbol("s")
+    for _ in range(40):
+        # rational roots with large numerators and denominators, some
+        # repeated, times a cofactor with large coefficients
+        coeffs = [Fraction(rng.randint(-10**12, 10**12)) for _ in range(rng.randint(1, 4))]
+        roots = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                 for _ in range(rng.randint(0, 3))]
+        for r in roots + roots[:rng.randint(0, 1)]:
+            coeffs = [Fraction(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * s**i
+                   for i, c in enumerate(coeffs))
+        want = sorted({Fraction(int(-f.coeff(s, 0).p * f.coeff(s, 1).q),
+                                int(f.coeff(s, 0).q * f.coeff(s, 1).p))
+                       for f, _ in sympy.factor_list(expr)[1]
+                       if sympy.degree(f, s) == 1})
+        assert rational_roots(coeffs) == want
 
 
 @given(small_roots)

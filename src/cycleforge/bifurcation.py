@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .fields import VectorField
+from .fields import VectorField, square_factors
 from .linalg import ExactMatrix, echelon
 from .lyapunov import linear_parts_in, lyapunov_quantities, normalize_at
 from .poly import MultiPoly, format_poly, parse_poly
@@ -28,8 +28,6 @@ from .roots import (
     sign_at_root,
 )
 from .scalars import inverse
-
-_LINE = {"P": "4*x^2 - 1", "Q": "4*y^2 - 1"}
 
 
 # -- rational functions of the center parameters ---------------------------------
@@ -111,8 +109,8 @@ def build_perturbation(
     added to component P or Q.  The expression must be divisible by the
     line factor of its target (4x^2-1 for P, 4y^2-1 for Q) so the invariant
     lines survive the perturbation; offending terms are rejected by name.
-    Symbols other than `alpha_symbol` become the small parameters Lambda,
-    in order of first appearance.
+    Symbols other than `alpha_symbol`, which must be the symbol of a term,
+    become the small parameters Lambda, in order of first appearance.
     """
     mu_symbols = base.parameters
     new_syms: list = []
@@ -124,20 +122,23 @@ def build_perturbation(
     variables = ("x", "y") + mu_symbols + tuple(new_syms)
     df = MultiPoly.zero(variables)
     dg = MultiPoly.zero(variables)
+    lines = dict(zip("PQ", square_factors(variables)))
     for target, sym, expr in terms:
         p = parse_poly(expr, variables) if isinstance(expr, str) else expr.with_variables(variables)
-        line = parse_poly(_LINE[target], variables)
-        inner = p.exact_div(line)
+        inner = p.exact_div(lines[target])
         if inner is None:
             raise ValueError(
                 f"perturbation term {sym}*({expr}) does not keep "
-                f"{_LINE[target]} invariant"
+                f"{format_poly(lines[target])} invariant"
             )
         addition = MultiPoly.var(sym, variables) * inner
         if target == "P":
             df = df + addition
         else:
             dg = dg + addition
+    symbols = [sym for _, sym, _ in terms]
+    if alpha_symbol not in symbols:
+        raise ValueError(f"alpha {alpha_symbol!r} names no symbol of terms {symbols}")
     fld = VectorField(base.f.with_variables(variables) + df,
                       base.g.with_variables(variables) + dg)
     zero_bind = {s: Fraction(0) for s in new_syms}

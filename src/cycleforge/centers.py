@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fields import VectorField
+from .fields import VectorField, square_factors
 from .linalg import ExactMatrix, solve_linear_exact
-from .poly import MultiPoly, format_poly, parse_poly
+from .poly import MultiPoly, format_poly
 
 
 def _swap_sub(field: VectorField, sx, sy):
@@ -162,9 +162,6 @@ def separable_check(field: VectorField) -> bool:
     return _separates(field.P) and _separates(field.Q)
 
 
-DEFAULT_CURVES = ("4*x^2 - 1", "4*y^2 - 1")
-
-
 def certify(
     field: VectorField, extra_curves: Sequence[MultiPoly] = ()
 ) -> CenterCertificate:
@@ -176,7 +173,7 @@ def certify(
         return CenterCertificate(
             kind="reversible", line=lines[0], witness=",".join(lines)
         )
-    curves = [parse_poly(s, field.variables) for s in DEFAULT_CURVES]
+    curves = list(square_factors(field.variables))
     curves.extend(extra_curves)
     cert = darboux_search(field, curves)
     if cert is not None:

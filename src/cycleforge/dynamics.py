@@ -41,13 +41,6 @@ from .roots import (
 from .scalars import scalar_sign
 
 
-def _iv_div(a: RatInterval, b: RatInterval) -> RatInterval:
-    if b.contains_zero():
-        raise ZeroDivisionError("interval denominator straddles zero")
-    vals = [a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi]
-    return RatInterval(min(vals), max(vals))
-
-
 # frame coordinates (u, t); t is named s, the variable of the root
 _US = ("u", "s")
 _U = MultiPoly.var("u", _US)
@@ -134,7 +127,7 @@ class CertifiedPoint:
             box = {"s": RatInterval(iv.lo, iv.hi)}
             den_box = poly_box_eval(self.den, box)
             if not den_box.contains_zero():
-                u = -_iv_div(poly_box_eval(self.num, box), den_box)
+                u = -(poly_box_eval(self.num, box) / den_box)
                 t = box["s"] if self.t0 is None else RatInterval.point(self.t0)
                 bx, by = a * u + b * t, c * u + e * t
                 if bx.width() <= width and by.width() <= width:

@@ -3,7 +3,8 @@
 The integrator is the Dormand-Prince 5(4) pair (Dormand & Prince, 1980)
 with Shampine's quartic dense output (Shampine, 1986), on plain Python
 floats.  It keeps scipy RK45's initial step, step-size controller and
-event rule, so it takes the same steps.  The return map integrates
+event rule, so it takes the same steps; an event's time is found by
+bisection on the dense output.  The return map integrates
 exactly one turn in the polar angle around the focus and reads the
 displacement off the endpoint (Andronov, Leontovich, Gordon & Maier, 1973).
 """
@@ -130,49 +131,24 @@ def _dense(t_old, t, y_old, K) -> Callable:
     return sol
 
 
-def _brentq(g, a, b) -> float:
-    """A root of g in [a, b] by Brent's method, as scipy's C brentq with
-    xtol = rtol = 4 EPS and at most 100 iterations."""
-    xtol = rtol = 4 * EPS
-    xpre, xcur = a, b
-    fpre, fcur = g(xpre), g(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1, fpre) == math.copysign(1, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (
-                math.copysign(1, fpre) != math.copysign(1, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+def _bisect(g, a, b) -> float:
+    """A root of g in [a, b], where g(a) and g(b) differ in sign or one of
+    them is zero, by bisection to within xtol + rtol |t|, xtol = rtol = 4 EPS."""
+    ga = g(a)
+    if ga == 0:
+        return a
+    if g(b) == 0:
+        return b
+    while b - a > 4 * EPS * (1 + abs(a)):
+        t = (a + b) / 2
+        gt = g(t)
+        if gt == 0:
+            return t
+        if (gt > 0) == (ga > 0):
+            a = t
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = g(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
+            b = t
+    return (a + b) / 2
 
 
 @dataclass
@@ -200,8 +176,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()) -> Solutio
     accepted step or, with t_eval (increasing, within t_span), read off the
     dense output at those times.  An event g(t, y) ends the solve when it
     changes sign (or reaches zero) from one accepted step to the next; its
-    root is found by Brent's method on the dense output, and the earliest
-    root of all active events ends the solve there.
+    root is found by bisection on the dense output, and the earliest root
+    of all active events ends the solve there.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t < t_bound:
@@ -241,7 +217,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None, events=()) -> Solutio
             if active:
                 sol = _dense(t_old, t, y_old, K)
                 # the earliest root ends the solve; ties go to the first event
-                t, i = min((_brentq(lambda s, e=events[i]: e(s, sol(s)),
+                t, i = min((_bisect(lambda s, e=events[i]: e(s, sol(s)),
                                     t_old, t), i) for i in active)
                 y = sol(t)
                 t_events[i].append(t)

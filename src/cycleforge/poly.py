@@ -553,7 +553,7 @@ class MultiPoly:
         """{exponents in names: coefficient}, so p = sum coeff * names**exponents.
 
         Each coefficient keeps this polynomial's variable tuple, with the
-        exponents of `names` set to zero.  `from_collected` is the inverse.
+        exponents of `names` set to zero.
         """
         shifts = [self._shift(v) for v in names]
         top = _W * len(self.variables)
@@ -584,46 +584,6 @@ class MultiPoly:
         """The terms of total degree <= order in names."""
         degree = self._names_degree(names)
         return self._part({k: v for k, v in self._c.items() if degree(k) <= order})
-
-    @classmethod
-    def from_collected(cls, names: Iterable[str], groups: Mapping,
-                       variables: Optional[Iterable[str]] = None) -> "MultiPoly":
-        """Sum of coeff * names**exponents over groups, the inverse of collect.
-
-        Coefficients are scalars or polynomials; the result uses
-        `variables`, which default to `names`.
-        """
-        names = tuple(names)
-        variables = names if variables is None else tuple(variables)
-        n = len(variables)
-        unit = _new(variables, {}, 1)
-        idx = [unit._index(v) for v in names]
-        parts = []  # (key offset, coefficient polynomial)
-        for exps, coeff in groups.items():
-            exp = [0] * n
-            for i, e in zip(idx, exps):
-                exp[i] += e
-            off = _pack(exp, n)
-            if not isinstance(coeff, MultiPoly):
-                coeff = MultiPoly.const(coeff, variables)
-            coeff = coeff.with_variables(variables)
-            _check_sum(variables, (off,), coeff._c)
-            parts.append((off, coeff))
-        rational = all(c._d is not None for _, c in parts)
-        den = lcm(*[c._d for _, c in parts]) if rational else None
-        terms: dict = {}
-        for off, coeff in parts:
-            if rational:
-                scale = den // coeff._d
-                c = {k: v * scale for k, v in coeff._c.items()}
-            else:
-                c = coeff._scalars()
-            for k, v in c.items():
-                k += off
-                terms[k] = terms[k] + v if k in terms else v
-        if rational:
-            return _rational(variables, terms, den)
-        return _from_scalars(variables, terms)
 
     # -- exact division -----------------------------------------------------
 
@@ -869,7 +829,10 @@ def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> MultiPol
     order of first appearance.
     """
     parser = _Parser(text, variables)
-    p = parser.parse()
+    try:
+        p = parser.parse()
+    except RecursionError:  # the parser recurses once per nesting level
+        raise PolyParseError("expression nested too deeply", parser.peek()[2]) from None
     target = tuple(variables) if variables is not None else tuple(parser.seen)
     return p.with_variables(target)
 

@@ -144,41 +144,6 @@ def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
     return _drop_var(sub.coeff_of(var, 1), var), _drop_var(sub.coeff_of(var, 0), var)
 
 
-@dataclass
-class SpecializeReport:
-    status: str  # "consistent" | "degree_dropped" | "g_vanishes"
-    identity_holds: Optional[bool]
-    degree_drop: int
-    symbolic_value: Optional[MultiPoly] = None
-    specialized_value: Optional[MultiPoly] = None
-
-
-def specialize_check(f: MultiPoly, g: MultiPoly, var: str, point: dict) -> SpecializeReport:
-    """Check the specialization identity R(y0) = c0(y0)^(m-p) * R_{y0}.
-
-    `point` binds the non-eliminated variables; g must specialize to a
-    nonzero polynomial of some degree p <= m while f keeps full degree.
-    """
-    f, g = MultiPoly._align(f, g)
-    m = _deg(g, var)
-    R = resultant(f, g, var)
-    R_at = R.eval_scalar(point)
-    f0 = f.evaluate(point)
-    g0 = g.evaluate(point)
-    if g0.is_zero():
-        return SpecializeReport(status="g_vanishes", identity_holds=None, degree_drop=m)
-    lf = f.degree_in(var)
-    if f0.degree_in(var) != lf:
-        return SpecializeReport(status="degree_dropped", identity_holds=None,
-                                degree_drop=0)
-    p = _deg(g0, var)
-    R0 = resultant(f0, g0, var).constant_value()
-    c0 = f.coeff_of(var, lf).eval_scalar(point)
-    holds = R_at == c0 ** (m - p) * R0
-    status = "consistent" if p == m else "degree_dropped"
-    return SpecializeReport(status=status, identity_holds=holds, degree_drop=m - p)
-
-
 # -- multivariate gcd ------------------------------------------------------------
 
 

@@ -416,6 +416,14 @@ class RatInterval:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        other = _as_interval(other)
+        if other.contains_zero():
+            raise ZeroDivisionError("interval denominator straddles zero")
+        quots = [self.lo / other.lo, self.lo / other.hi,
+                 self.hi / other.lo, self.hi / other.hi]
+        return RatInterval(min(quots), max(quots))
+
     def __pow__(self, n: int):
         if n == 0:
             return RatInterval.point(1)
@@ -445,7 +453,7 @@ class RatInterval:
         return (self.lo + self.hi) / 2
 
 
-# bits of sqrt(d) in the enclosure of a Q(sqrt d) coefficient
+# bits of sqrt(d), at least, in the enclosure of a Q(sqrt d) coefficient
 ENCLOSURE_BITS = 30
 
 
@@ -455,28 +463,34 @@ def _as_interval(x) -> RatInterval:
     return RatInterval.point(x)
 
 
-def sqrt_enclosure(d: int) -> RatInterval:
-    """Rational enclosure of sqrt(d) with width <= 2**-ENCLOSURE_BITS."""
-    scale = 1 << ENCLOSURE_BITS
+def sqrt_enclosure(d: int, bits: int) -> RatInterval:
+    """Rational enclosure of sqrt(d) with width <= 2**-bits."""
+    scale = 1 << bits
     s = math.isqrt(d * scale * scale)
     return RatInterval(Fraction(s, scale), Fraction(s + 1, scale))
 
 
-def scalar_enclosure(c) -> RatInterval:
+def scalar_enclosure(c, bits: int) -> RatInterval:
     if isinstance(c, QuadExt):
         if c.b == 0:
             return RatInterval.point(c.a)
-        return RatInterval.point(c.a) + RatInterval.point(c.b) * sqrt_enclosure(c.d)
+        return RatInterval.point(c.a) + RatInterval.point(c.b) * sqrt_enclosure(c.d, bits)
     return RatInterval.point(c)
 
 
 def poly_box_eval(p: MultiPoly, box: dict) -> RatInterval:
-    """Interval evaluation of p over a box {var: RatInterval}."""
+    """Interval evaluation of p over a box {var: RatInterval}; sqrt(d) is
+    enclosed at least as tightly as the narrowest side of the box, so the
+    result shrinks with the box."""
+    box = {v: _as_interval(b) for v, b in box.items()}
+    widths = [b.width() for b in box.values() if b.width()]
+    # 2**-bits is at most every positive width
+    bits = max([ENCLOSURE_BITS] + [(w.denominator // w.numerator).bit_length() for w in widths])
     total = RatInterval.point(0)
     for exp, c in p.collect(p.variables).items():
-        term = scalar_enclosure(c.constant_value())
+        term = scalar_enclosure(c.constant_value(), bits)
         for v, e in zip(p.variables, exp):
             if e:
-                term = term * (_as_interval(box[v]) ** e)
+                term = term * (box[v] ** e)
         total = total + term
     return total

@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm  # integer helpers of poly's shared-denominator form
 from typing import Union
 
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction, "QuadExt"]
 
 
@@ -77,10 +75,6 @@ class QuadExt:
         if self.d != other.d:
             raise RadicandMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
         return self.d
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def to_fraction(self) -> Fraction:
         if self.b != 0:
@@ -249,10 +243,6 @@ def as_fraction(x: ScalarLike) -> Fraction:
     if isinstance(x, QuadExt):
         return x.to_fraction()
     return Fraction(x)
-
-
-def scalar_float(x: ScalarLike) -> float:
-    return float(x)
 
 
 def _frac_str(q: Fraction) -> str:

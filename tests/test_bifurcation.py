@@ -25,6 +25,14 @@ def test_build_perturbation_rejects_line_breaking_terms():
         build_perturbation(base, [("P", "lam", "x*y")])
 
 
+@pytest.mark.parametrize("alpha", ["a", None])
+def test_build_perturbation_rejects_an_alpha_no_term_names(alpha):
+    base = VectorField(parse_poly("x*y - 1", ("x", "y", "mu")),
+                       parse_poly("x^2*y^2 - 1/7", ("x", "y", "mu")))
+    with pytest.raises(ValueError, match=f"alpha {alpha!r}"):
+        build_perturbation(base, [("P", "lam", "(4*x^2 - 1)*y^2")], alpha_symbol=alpha)
+
+
 def test_build_perturbation_reduces_to_base():
     setup = p7_setup()
     zeros = {s: Fraction(0) for s in setup.lambda_symbols}

@@ -9,8 +9,7 @@ from cycleforge.poly import MultiPoly, parse_poly
 
 def test_boundary_lines_are_invariant():
     fam = fields.p4_family()
-    for curve in centers.DEFAULT_CURVES:
-        F = parse_poly(curve, fam.variables)
+    for F in fields.square_factors(fam.variables):
         K = centers.cofactor(fam, F)
         assert K is not None
         # Lie derivative identity holds exactly

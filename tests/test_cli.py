@@ -4,6 +4,8 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from cycleforge.cli import main
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir,
                          "perfbench", "reference", "focus")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -114,6 +117,12 @@ ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y
      "'a11'"),
     (["bifurcate", "--setup", ALPHA + '"a"}'], "alpha 'a'"),
     (["bifurcate", "--setup", ALPHA + 'null}'], "alpha None"),
+    (["lyap", "--file", "json:" + json.dumps({"f": "(" * 400 + "x" + ")" * 400, "g": "y"})],
+     "nested too deeply"),
+    (["lyap", "--file", "json:" + json.dumps({"f": "x*" + "-" * 3000 + "y", "g": "y"})],
+     "nested too deeply"),
+    (["center-certify", "--family", "P4", "--curve", "(" * 400 + "x" + ")" * 400],
+     "nested too deeply"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)
@@ -163,6 +172,19 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
         gc.set_debug(flags)
         del gc.garbage[start:]
     assert codes == [0] * 5 and left == []
+
+
+def test_a_call_leaves_no_reference_cycle(capsys):
+    # json.dumps with an indent leaves its encoder's closures in a cycle
+    main(["lyap", "--family", "P4", "--N", "2"])
+    gc.collect()
+    gc.disable()
+    try:
+        main(["lyap", "--family", "P4", "--N", "2"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_center_certify_strict_negative(capsys):
@@ -358,6 +380,34 @@ def test_doubly_singular_irrational_zeros_exit_0(tmp_path, capsys):
     for sol in sols:
         hits = [p for p in points
                 if all(sympy.Rational(lo) < sol[v] < sympy.Rational(hi)
+                       for v, (lo, hi) in ((x, p["location"]["x"]),
+                                           (y, p["location"]["y"])))]
+        assert len(hits) == 1, sol
+
+
+def test_sqrt_coefficient_points_get_their_enclosures(tmp_path):
+    # sqrt(2) enclosed to a fixed 30 bits kept every box wider than the
+    # requested width, so the command never returned: run it with a timeout
+    sympy = pytest.importorskip("sympy")
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps({"f": "x^2 - sqrt(2)*y - 1", "g": "y^2 + sqrt(2)*x - 2"}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cycleforge.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "berlinskii", "--file", str(src), "--raw-pair"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0 and done.stderr == ""
+    points = json.loads(done.stdout)["singularities"]["points"]
+    x, y = sympy.symbols("x y")
+    r2 = sympy.sqrt(2)
+    sols = [{v: sympy.N(c, 30) for v, c in sol.items()}
+            for sol in sympy.solve([x**2 - r2 * y - 1, y**2 + r2 * x - 2], [x, y], dict=True)]
+    sols = [sol for sol in sols if all(abs(sympy.im(c)) < 1e-20 for c in sol.values())]
+    assert len(sols) == len(points) == 2
+    for sol in sols:
+        hits = [p for p in points
+                if all(sympy.Rational(lo) - 1e-12 <= sol[v] <= sympy.Rational(hi) + 1e-12
                        for v, (lo, hi) in ((x, p["location"]["x"]),
                                            (y, p["location"]["y"])))]
         assert len(hits) == 1, sol

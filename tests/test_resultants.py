@@ -19,7 +19,6 @@ from cycleforge.resultants import (
     gcd_many,
     multivariate_gcd,
     resultant,
-    specialize_check,
     subresultant,
     substitute_ratio,
     unit_multiple_of,
@@ -69,13 +68,6 @@ def test_resultant_bivariate_projects_intersections():
     # intersections satisfy y^2 + y - 1 = 0
     target = parse_poly("y^2 + y - 1", r.variables)
     assert r.exact_div(target) is not None
-
-
-def test_specialize_check_identity():
-    f = parse_poly("x^2 + y*x + 1")
-    g = parse_poly("x - y")
-    rep = specialize_check(f, g, "x", {"y": Fraction(3)})
-    assert rep.status == "consistent" and rep.identity_holds
 
 
 def test_multivariate_gcd_of_constructed_product():

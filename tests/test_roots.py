@@ -204,7 +204,7 @@ _ROOT4_2_DIGITS = math.isqrt(math.isqrt(2 * 10**600))
         "sqrt3-vs-q-sqrt2-above", "root4-2-below", "root4-2-above"])
 def test_sign_at_root_decides_near_misses(defining, f, sign):
     root = real_roots([Fraction(c) if isinstance(c, int) else c for c in defining])[-1]
-    fp = MultiPoly.from_collected(("x",), {(i,): c for i, c in enumerate(f)})
+    fp = MultiPoly(("x",), {(i,): c for i, c in enumerate(f)})
     assert sign_at_root(fp, root, "x") == sign
 
 
@@ -240,8 +240,8 @@ def test_sign_at_root_matches_sympy(case):
     domain = sp.QQ.algebraic_field(sp.sqrt(2))
 
     def both(pairs):
-        mp = MultiPoly.from_collected(
-            ("x",), {(i,): _sqrt2_coeff(a, b) for i, (a, b) in enumerate(pairs)})
+        mp = MultiPoly(("x",), {(i,): _sqrt2_coeff(a, b)
+                                for i, (a, b) in enumerate(pairs)})
         # domain([b, a]) is a + b*sqrt(2)
         return mp, sp.Poly.from_list([domain([b, a]) for a, b in reversed(pairs)],
                                      x, domain=domain)

@@ -31,6 +31,11 @@ MAX_TMAX = 1.0e4
 # them costs the same at every bound.
 MAX_BOUND = 4
 
+# Largest deg f * deg g in x, y of a `singular` or `berlinskii` pair, which
+# bounds the degree of the resultants they solve: (x-1/3)(y+2), x^500 takes
+# about 1 s, and x^2000 11 s.
+MAX_BEZOUT = 1000
+
 FAMILIES = {
     "P4": fields.p4_family,
     "P5": fields.p5_family,
@@ -111,6 +116,14 @@ def _load_family(args) -> fields.VectorField:
         except (KeyError, TypeError, PolyParseError, ValueError) as e:
             raise InputError(f"{args.file}: {e}")
     raise InputError("need --family or --file")
+
+
+def _load_pair(args) -> fields.VectorField:
+    fam = _load_family(args)
+    m, n = (max(h.graded(("x", "y")), default=0) for h in (fam.f, fam.g))
+    if m * n > MAX_BEZOUT:
+        raise InputError(f"deg f * deg g = {m} * {n} exceeds {MAX_BEZOUT}")
+    return fam
 
 
 def _check_parameters(flag: str, names, fam: fields.VectorField) -> None:
@@ -250,7 +263,7 @@ def _cmd_bifurcate(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    fam = _load_family(args)
+    fam = _load_pair(args)
     binding = _parse_binding(args.bind, fam)
     rep = dynamics.singularities_in_delta(fam, binding, region=args.region)
     _emit_json(rep.to_json(), args.out)
@@ -258,7 +271,7 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_berlinskii(args) -> int:
-    fam = _load_family(args)
+    fam = _load_pair(args)
     binding = _parse_binding(args.bind, fam)
     if args.raw_pair:
         fb = fam.bind(binding)

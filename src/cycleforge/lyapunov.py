@@ -15,10 +15,12 @@ there is (k-i+1) c_(i-1) - (i+1) c_(i+1) + P_i = L [i = k].  The odd c_i
 run forward from c_(-1) = 0, and at even k the last equation gives L; the
 even c_i run from the pinned one at even k, else back from c_(k+1) = 0.
 Each P_i is summed from the stored degrees when its sweep reaches it.
-The top two degrees are never stored: the circle mean of
-(x d/dy - y d/dx) h is zero, so L_N = sum of (i-1)!! (j-1)!! / (k-1)!! P_ij
-over even i, j at k = 2N+2, to which each c_i of degree 2N+1 adds its
-products with F_2 and G_2 as it is solved.
+The circle mean of (x d/dy - y d/dx) h is zero, so L_N = sum of
+(i-1)!! (j-1)!! / (k-1)!! P_ij over even i, j at k = 2N+2.  At odd
+k = 2N+1 the sweep is a fixed rational map T of P, so its share of L_N is
+T^t applied to those circle weights: every coefficient of a degree that
+reaches 2N+1 or 2N+2 adds its product with a small fixed weight to L_N
+when solved, and degree 2N+1 is never swept nor degree 2N stored.
 """
 
 from __future__ import annotations
@@ -237,30 +239,40 @@ def lyapunov_quantities(
                  and (w := factor(f, g, i - u, j - v)))
         return sum(terms, next(terms, zero))
 
-    def circle(L: MultiPoly, s: int, i: int, j: int, c: MultiPoly) -> MultiPoly:
-        """L plus the circle means of the even-even products of c x^i y^j."""
-        for (u, v), f, g in offsets[s]:
-            if (i + u) % 2 == 0 == (j + v) % 2 and (w := factor(f, g, i, j)):
-                L = L + trunc(c * w) * _circle_weight(i + u, j + v)
-        return L
+    K = 2 * count + 1  # never swept: L_N is a fixed linear form in P_K
 
-    max_degree = 2 * count + 2
+    def weight(m: int, i: int, j: int) -> MultiPoly:
+        """Weight of c x^i y^j of degree m in L_N: through P_K and psi, and
+        through the circle mean of its products at degree K + 1."""
+        s = K + 1 - m
+        ws = [w * psi[i + u] for (u, v), f, g in offsets.get(s, ())
+              if (w := factor(f, g, i, j))]
+        ws += [w * _circle_weight(i + u, j + v) for (u, v), f, g in offsets.get(s + 1, ())
+               if (i + u) % 2 == 0 and (w := factor(f, g, i, j))]
+        return trunc(sum(ws, zero))
+
+    # c_K = T P_K, so P_K,j weighs psi_j = sum_i T_ij omega_i with omega_i the
+    # weight of c_K,i, which reaches L_N through degree K + 1 only (psi unread)
+    omega = [weight(K, i, K - i) for i in range(K + 1)]
+    psi = [sum((omega[i] * t for i, t in _sweep(K, lambda i: Fraction(i == j), pin,
+                                                Fraction(0)) if t), zero)
+           for j in range(K + 1)]
+
     quantities: list = []
-    L_top = zero  # L_N; degree 2N+1 goes into it as it is solved
-    for k in range(3, max_degree):
-        series[k] = h = {}  # stays empty at 2N+1
+    # L_N: h_2 = x^2 + y^2 and each coefficient of degree > K - top add to it
+    L_top = sum((weight(2, i, 2 - i) for i in (0, 2) if count and K - top < 2), zero)
+    for k in range(3, K):
+        series[k] = h = {}  # stays empty at 2N, which only L_N reads
         for i, c in _sweep(k, lambda i: coeff(k, i), pin, zero):
             if i is None:
                 quantities.append(c)
-            elif k == max_degree - 1:
-                L_top = circle(L_top, 2, i, k - i, c)
             elif c:
-                h[i, k - i] = c
+                if k > K - top:
+                    L_top += trunc(c * weight(k, i, k - i))
+                if k < K - 1:
+                    h[i, k - i] = c
         series.pop(k + 1 - top, None)  # no later degree reads it
-    if count:  # the top degree adds its products with degrees 2N and below
-        for s in range(3, top + 1):
-            for (i, j), c in series.get(max_degree + 1 - s, {}).items():
-                L_top = circle(L_top, s, i, j, c)
+    if count:
         quantities.append(L_top)
     if quantity_scale != 1:
         quantities = [L * (Fraction(1) / quantity_scale ** n)

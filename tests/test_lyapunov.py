@@ -117,10 +117,10 @@ def test_negative_count_is_rejected():
 @pytest.mark.parametrize("family", [fields.p4_family, fields.p5_family])
 @pytest.mark.parametrize("pin", ["ck0", "c0k"])
 def test_top_degree_matches_interior_path(family, pin):
-    # L_N comes from the circle average when N is the last quantity and
+    # L_N comes from the fixed weights when N is the last quantity and
     # from the rotation sweep when a later one is asked for
     fam = family()
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4) if family is fields.p4_family else (1, 2, 3):
         last = lyapunov_quantities(fam.P, fam.Q, N, pin=pin).quantities
         inner = lyapunov_quantities(fam.P, fam.Q, N + 1, pin=pin).quantities
         assert last == inner[:N]
@@ -176,21 +176,41 @@ def _sympy_quantities(sympy, f, g, count):
     return out
 
 
+def _random_field(sympy, rng, mons):
+    """(p, q, f, g): x' = -y + f, y' = x + g with random rational f, g over
+    the monomials `mons`, as MultiPoly and as sympy expressions."""
+    x, y = sympy.symbols("x y")
+    a, b = ({m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in mons}
+            for _ in range(2))
+    p = MultiPoly(("x", "y"), {(0, 1): Fraction(-1), **a})
+    q = MultiPoly(("x", "y"), {(1, 0): Fraction(1), **b})
+    f, g = (sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                for (i, j), c in h.items()) for h in (a, b))
+    return p, q, f, g
+
+
 def test_quantities_match_sympy_undetermined_coefficients():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2024)
-    x, y = sympy.symbols("x y")
-    mons = [(2, 0), (1, 1), (0, 2)]
     for _ in range(3):
-        a, b = ({m: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in mons}
-                for _ in range(2))
-        p = MultiPoly(("x", "y"), {(0, 1): Fraction(-1), **a})
-        q = MultiPoly(("x", "y"), {(1, 0): Fraction(1), **b})
-        f, g = (sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-                    for (i, j), c in h.items()) for h in (a, b))
+        p, q, f, g = _random_field(sympy, rng, [(2, 0), (1, 1), (0, 2)])
         ours = [L.constant_value() for L in lyapunov_quantities(p, q, 3).quantities]
         theirs = _sympy_quantities(sympy, f, g, 3)
         assert ours == [Fraction(int(v.p), int(v.q)) for v in theirs]
+
+
+def test_quantities_match_sympy_with_cubic_and_quartic_terms():
+    # degree-3 and -4 terms reach L_N through the weights of degrees below
+    # 2N and the circle mean at 2N+2; at N = 1 only x^2 + y^2 is folded
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2025)
+    mons = [(i, d - i) for d in (2, 3, 4) for i in range(d + 1)]
+    for _ in range(2):
+        p, q, f, g = _random_field(sympy, rng, mons)
+        theirs = [Fraction(int(v.p), int(v.q)) for v in _sympy_quantities(sympy, f, g, 3)]
+        for N in (1, 2, 3):
+            ours = lyapunov_quantities(p, q, N).quantities
+            assert [L.constant_value() for L in ours] == theirs[:N]
 
 
 def _traced_peak(count: int) -> int:
@@ -204,12 +224,15 @@ def _traced_peak(count: int) -> int:
 
 
 def test_memory_of_four_quantities_stays_small():
-    # only degrees 3..8 are stored, each while a later degree reads it;
-    # degree 9 goes into L_4 as it is solved and degree 10 is never formed,
-    # so the traced heap peak stays well below what the series would cost
-    assert _traced_peak(4) < 3 * 2**20
+    # degrees 3..7 are stored while a later degree reads them, degrees 6..8
+    # add to L_4 with fixed weights as they are solved, degree 8 is never
+    # stored and degree 9 never swept: the traced heap peak is 0.49 MiB, and
+    # the bound fails a recursion that sweeps 9 and stores 8 (0.70 MiB)
+    assert _traced_peak(4) < 0.6 * 2**20
 
 
 def test_memory_of_five_quantities_stays_small():
-    # degree 11 (16,592 terms) is never stored, nor is a whole right-hand side
-    assert _traced_peak(5) < 3 * 2**20
+    # degree 11 is never swept and degree 10 (8,418 terms) never stored: the
+    # traced heap peak is 1.55 MiB, and the bound fails a recursion that
+    # sweeps 11 and stores 10 (2.36 MiB)
+    assert _traced_peak(5) < 2 * 2**20

@@ -113,11 +113,6 @@ ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y
     (["bifurcate", "--setup", SETUP + '[0, 0, 0]}'], "point"),
     (["bifurcate", "--setup", SETUP + '[]}'], "point"),
     (["lyap", "--file", 'json:{"f": "x^70000", "g": "y"}'], "16-bit field"),
-    (["berlinskii", "--raw-pair", "--file",
-      'json:{"f": "(x-1/3)*(y+2)", "g": "x^65535"}'], "deg f * deg g = 2 * 65535"),
-    (["singular", "--file", "json:" + json.dumps({"f": "x + y",
-                                                   "g": f"y^{cli.MAX_BEZOUT + 1}"})],
-     f"exceeds {cli.MAX_BEZOUT}"),
     (["eliminate", "--family", "P4", "--N", "3", "--order", "a11,a11", "--bound", "2"],
      "'a11'"),
     (["bifurcate", "--setup", ALPHA + '"a"}'], "alpha 'a'"),
@@ -128,6 +123,11 @@ ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y
      "nested too deeply"),
     (["center-certify", "--family", "P4", "--curve", "(" * 400 + "x" + ")" * 400],
      "nested too deeply"),
+    (["berlinskii", "--raw-pair", "--file",
+      'json:{"f": "(x-1/3)*(y+2)", "g": "x^65535"}'], "deg f * deg g = 2 * 65535"),
+    (["singular", "--file", "json:" + json.dumps({"f": "x + y",
+                                                   "g": f"y^{cli.MAX_BEZOUT + 1}"})],
+     f"exceeds {cli.MAX_BEZOUT}"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .fields import VectorField, square_factors
 from .linalg import ExactMatrix, echelon
@@ -427,37 +427,26 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     )
 
 
-def hopf_order_one(
-    setup: Union[PerturbationSetup, VectorField],
-    mu_binding: Optional[dict] = None,
-    point: Optional[Sequence] = None,
-) -> str:
+def hopf_order_one(setup: PerturbationSetup, mu_binding: Optional[dict] = None) -> str:
     """Classical one-cycle criterion: nonvanishing first quantity.
 
-    Binds the given parameters (alpha forced to 0 for a PerturbationSetup)
-    and evaluates L_1 at the singularity; "one_cycle" when it is nonzero
-    as a polynomial in whatever symbols remain, else "none".
+    Binds the given parameters (alpha forced to 0) and evaluates L_1 at
+    setup.point; "one_cycle" when it is nonzero as a polynomial in
+    whatever symbols remain, else "none".
     """
     binding = dict(mu_binding or {})
-    if isinstance(setup, PerturbationSetup):
-        fld = setup.field
-        binding.setdefault(setup.alpha_symbol, Fraction(0))
-        if point is None:
-            point = setup.point
-    else:
-        fld = setup
-        if point is None:
-            point = (Fraction(0), Fraction(0))
+    fld = setup.field
+    binding.setdefault(setup.alpha_symbol, Fraction(0))
     binding = {k: v for k, v in binding.items() if k in fld.variables}
     vs = tuple(v for v in fld.variables if v not in binding)
     P0 = fld.P.evaluate(binding).with_variables(vs)
     Q0 = fld.Q.evaluate(binding).with_variables(vs)
-    nf = normalize_at(P0, Q0, point)
+    nf = normalize_at(P0, Q0, setup.point)
     rep = lyapunov_quantities(nf.p, nf.q, 1, quantity_scale=nf.quantity_scale)
     return "none" if rep.quantities[0].is_zero() else "one_cycle"
 
 
-def mirror_count(report: GGTReport, symmetry: str = "odd_symmetry") -> int:
+def mirror_count(report: GGTReport) -> int:
     """Total cycle count across symmetric nests.
 
     Under the symmetry (x, y, t) -> (-x, -y, -t) a nest away from the
@@ -467,10 +456,6 @@ def mirror_count(report: GGTReport, symmetry: str = "odd_symmetry") -> int:
     if report.verdict[0] != "k_plus_ell_cycles":
         raise ValueError("report carries no certified cycle count")
     count = report.verdict[1]
-    if symmetry == "none":
-        return count
-    if symmetry != "odd_symmetry":
-        raise ValueError(f"unknown symmetry {symmetry!r}")
     if not report.symmetric:
         raise ValueError("the analyzed family is not symmetric under "
                          "(x, y, t) -> (-x, -y, -t)")

@@ -26,6 +26,10 @@ from .resultants import cascade
 # P9 orbit costs about 1.5 ms of integration, so 1e4 stays near 15 s.
 MAX_TMAX = 1.0e4
 
+# Largest `simulate --samples`: the sample times, the trajectory and its CSV
+# are all held in memory; 10^6 samples take about 5 s and 0.45 GB.
+MAX_SAMPLES = 10**6
+
 # Largest `eliminate --bound` (the library default), the documented input
 # range: the bound filters the linear factors a cascade reports, and finding
 # them costs the same at every bound.
@@ -45,6 +49,10 @@ FAMILIES = {
 }
 
 
+class InputError(Exception):
+    pass
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -52,15 +60,18 @@ def _write_out(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
         return
     d = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".cycleforge-")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".cycleforge-")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise InputError(f"cannot write --out {out}: {e.strerror or e}") from None
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -79,10 +90,6 @@ def _json_text(obj, indent: str = "\n") -> str:
 
 def _emit_json(obj, out: str | None) -> None:
     _write_out(_json_text(obj) + "\n", out)
-
-
-class InputError(Exception):
-    pass
 
 
 def _read_json_object(path: str) -> dict:
@@ -293,6 +300,8 @@ def _cmd_simulate(args) -> int:
         raise InputError(f"--tmax must be at most {MAX_TMAX:g}, got {args.tmax:g}")
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     try:
         x0 = tuple(float(t) for t in args.start.split(","))
     except ValueError:

@@ -16,7 +16,6 @@ exact.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,7 +107,7 @@ class CertifiedPoint:
         q = _in_frame(p, self.frame)
         if self.t0 is not None:  # fix t; the root variable is u
             q = q.evaluate({"s": self.t0})
-        m = max(q.degree_in("u"), 0)  # the zero polynomial has degree -inf
+        m = max(q.degree_in("u"), 0)  # the zero polynomial has degree -1
         acc = substitute_ratio(q, "u", self.num, self.den)
         s_acc = sign_at_root(acc, self.root, "s")
         s_den = sign_at_root(self.den, self.root, "s")
@@ -116,7 +115,7 @@ class CertifiedPoint:
 
     def enclosure(self, width: Fraction = Fraction(1, 10**9)) -> tuple:
         """(RatInterval x, RatInterval y) boxes of at most the given
-        positive width."""
+        positive width, refined from the isolating interval at each call."""
         if width <= 0:
             raise ValueError(f"enclosure width must be positive, got {width}")
         if self.exact is not None:
@@ -131,7 +130,6 @@ class CertifiedPoint:
                 t = box["s"] if self.t0 is None else RatInterval.point(self.t0)
                 bx, by = a * u + b * t, c * u + e * t
                 if bx.width() <= width and by.width() <= width:
-                    self.root = iv
                     return bx, by
             iv = refine(iv, iv.width() / 4)
 
@@ -407,8 +405,7 @@ def berlinskii_check(report: SingularityReport) -> BerlinskiiResult:
     else:
         return BerlinskiiResult("counterexample",
                                 detail=f"all four indices are {indices[0]}")
-    # copies, so the narrow boxes do not change the report's enclosures
-    pts = [copy.copy(p.point) for p in report.points]
+    pts = [p.point for p in report.points]
     signs = [_orientation([pts[i] for i in t]) for t in triples]
     if not all(signs):
         return BerlinskiiResult("not_applicable",

@@ -206,11 +206,11 @@ class GameModel:
                 raise ValueError("payoff matrices must be 2x2")
 
     @staticmethod
-    def from_json(data: dict, variables: Sequence[str] = ("x", "y")) -> "GameModel":
+    def from_json(data: dict) -> "GameModel":
         def conv(M):
             return [
                 [
-                    e if isinstance(e, MultiPoly) else parse_poly(str(e), variables)
+                    e if isinstance(e, MultiPoly) else parse_poly(str(e), ("x", "y"))
                     for e in row
                 ]
                 for row in M

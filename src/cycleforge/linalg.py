@@ -28,19 +28,13 @@ def _entry_zero(x) -> bool:
 
 
 def _exact_div(num, den):
-    """num / den, exact in the entry ring; raises if the division fails."""
+    """num / den, exact in the entry ring; raises if the division fails.
+    A matrix's entries are all scalars or all polynomials."""
     if isinstance(num, MultiPoly):
         if isinstance(den, MultiPoly):
             q = num.exact_div(den)
         else:
             q = num * inverse(den)
-        if q is None:
-            raise ArithmeticError("inexact division in Bareiss elimination")
-        return q
-    if isinstance(den, MultiPoly):
-        if _entry_zero(num):
-            return Fraction(0)
-        q = MultiPoly.const(num).exact_div(den)
         if q is None:
             raise ArithmeticError("inexact division in Bareiss elimination")
         return q

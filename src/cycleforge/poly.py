@@ -13,52 +13,19 @@ A rational polynomial stores integer numerators over one shared positive
 denominator, with the gcd of the denominator and all numerators 1.  A
 polynomial with a coefficient in Q(sqrt(d)) keeps its scalars (Fraction or
 QuadExt) as they are; the form follows from the coefficients.  `terms` is
-a read-only {exponent tuple: scalar} view of either form.
+a fresh {exponent tuple: scalar} dict of either form.  The zero polynomial
+has degree -1.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .scalars import (QuadExt, ScalarLike, as_fraction, format_scalar, gcd, inverse,
-                      is_zero, lcm)
+from .scalars import QuadExt, ScalarLike, as_fraction, format_scalar, inverse, is_zero
 
-
-class _MinusInf:
-    """Degree of the zero polynomial.  Comparisons work, arithmetic does not."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("MINUS_INF_DEGREE")
-
-    def __repr__(self):
-        return "-inf"
-
-
-MINUS_INF = _MinusInf()
 
 _W = 16  # bits per variable field of a monomial key
 _MAX_EXP = (1 << _W) - 1
@@ -128,35 +95,6 @@ def _from_scalars(variables: tuple, c: dict) -> "MultiPoly":
                             for k, v in c.items()}, d)
 
 
-class _Terms:
-    """Read-only {exponent tuple: scalar} view of a polynomial's terms."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p: "MultiPoly"):
-        self._p = p
-
-    def __len__(self):
-        return len(self._p._c)
-
-    def __iter__(self):
-        n = len(self._p.variables)
-        return (_unpack(k, n) for k in self._p._c)
-
-    keys = __iter__
-
-    def __getitem__(self, exp):
-        return self._p._scalar(self._p._c[_pack(exp, len(self._p.variables))])
-
-    def values(self):
-        return [self._p._scalar(v) for v in self._p._c.values()]
-
-    def items(self):
-        p = self._p
-        n = len(p.variables)
-        return [(_unpack(k, n), p._scalar(v)) for k, v in p._c.items()]
-
-
 class MultiPoly:
     __slots__ = ("variables", "_c", "_d")
 
@@ -167,8 +105,10 @@ class MultiPoly:
         self.variables, self._c, self._d = variables, p._c, p._d
 
     @property
-    def terms(self) -> _Terms:
-        return _Terms(self)
+    def terms(self) -> dict:
+        """A fresh {exponent tuple: scalar} dict."""
+        n = len(self.variables)
+        return {_unpack(k, n): self._scalar(v) for k, v in self._c.items()}
 
     def _scalar(self, v) -> ScalarLike:
         d = self._d
@@ -222,16 +162,13 @@ class MultiPoly:
             raise ValueError(f"{self} is not constant")
         return self._scalar(self._c[0])
 
-    def degree(self):
-        if not self._c:
-            return MINUS_INF
-        return max(self._c) >> (_W * len(self.variables))
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial, as in degree_in."""
+        return max(self._c) >> (_W * len(self.variables)) if self._c else -1
 
-    def degree_in(self, var: str):
+    def degree_in(self, var: str) -> int:
         s = self._shift(var)
-        if not self._c:
-            return MINUS_INF
-        return max((k >> s) & _MAX_EXP for k in self._c)
+        return max(((k >> s) & _MAX_EXP for k in self._c), default=-1)
 
     def _index(self, var: str) -> int:
         try:

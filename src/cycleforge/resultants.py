@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .poly import MINUS_INF, MultiPoly, format_poly
+from .poly import MultiPoly, format_poly
 from .roots import poly_to_coeffs, rational_roots
 from .scalars import is_zero
 
@@ -33,8 +33,7 @@ def unit_multiple_of(p: MultiPoly, q: MultiPoly) -> bool:
 
 
 def _deg(p: MultiPoly, var: str) -> int:
-    d = p.degree_in(var)
-    return 0 if d is MINUS_INF else d
+    return max(p.degree_in(var), 0)
 
 
 def _drop_var(p: MultiPoly, var: str) -> MultiPoly:
@@ -70,7 +69,7 @@ def _prem(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     unused = p.degree_in(var) - dq + 1  # factors lc(q) not yet applied
     while True:
         dr = r.degree_in(var)
-        if dr is MINUS_INF or dr < dq:
+        if dr < dq:
             return r * lcq ** unused if unused else r
         lcr = r.coeff_of(var, dr)
         r = lcq * r - lcr * MultiPoly.var(var, r.variables) ** (dr - dq) * q

@@ -172,9 +172,6 @@ class IsolatingInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, x) -> bool:
-        return self.lo < x < self.hi
-
 
 RootLocation = Union[Fraction, IsolatingInterval]
 
@@ -404,9 +401,6 @@ class RatInterval:
 
     def __sub__(self, other):
         return self + (-_as_interval(other))
-
-    def __rsub__(self, other):
-        return _as_interval(other) + (-self)
 
     def __mul__(self, other):
         other = _as_interval(other)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd, lcm  # integer helpers of poly's shared-denominator form
 from typing import Union
 
 ScalarLike = Union[int, Fraction, "QuadExt"]
@@ -60,12 +59,6 @@ class QuadExt:
         self.a, self.b, self.d = a, b, d
 
     # -- helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x: ScalarLike, d: int) -> "QuadExt":
-        if isinstance(x, QuadExt):
-            return x
-        return QuadExt(Fraction(x), 0, d)
 
     def _common_d(self, other: "QuadExt") -> int:
         if self.b == 0:
@@ -142,9 +135,6 @@ class QuadExt:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -192,22 +182,6 @@ class QuadExt:
         if a > 0:  # b < 0
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-    def __lt__(self, other):
-        diff = self - QuadExt._coerce(other, self.d)
-        return diff.sign() < 0
-
-    def __le__(self, other):
-        diff = self - QuadExt._coerce(other, self.d)
-        return diff.sign() <= 0
-
-    def __gt__(self, other):
-        diff = self - QuadExt._coerce(other, self.d)
-        return diff.sign() > 0
-
-    def __ge__(self, other):
-        diff = self - QuadExt._coerce(other, self.d)
-        return diff.sign() >= 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)

@@ -15,7 +15,7 @@ from cycleforge.bifurcation import (
     p9_setup,
     ratfunc,
 )
-from cycleforge.fields import VectorField
+from cycleforge.fields import VectorField, p7_base
 from cycleforge.poly import parse_poly
 
 
@@ -91,7 +91,6 @@ def test_mirror_count_requires_symmetry():
     assert rep.verdict[0] == "k_plus_ell_cycles"
     with pytest.raises(ValueError):
         mirror_count(rep)
-    assert mirror_count(rep, symmetry="none") == rep.verdict[1]
 
 
 def test_mirror_count_requires_certificate():
@@ -103,11 +102,10 @@ def test_mirror_count_requires_certificate():
 
 
 def test_hopf_on_plain_field():
-    # unperturbed symmetric family at mu=0 has a center: no cycle
+    # unperturbed symmetric family at mu=0 has a center at (1/4, 0): no
+    # cycle (at lam = alpha = 0 the setup's field is the base field)
     setup = p9_setup()
-    binding = {"mu": Fraction(0), "lam": Fraction(0)}
-    assert hopf_order_one(setup.base, binding,
-                          point=(Fraction(1, 4), Fraction(0))) == "none"
+    assert hopf_order_one(setup, {"mu": 0, "lam": 0}) == "none"
     # with the cross term switched on the first quantity is nonzero
     assert hopf_order_one(setup, {"mu": Fraction(0)}) == "one_cycle"
 
@@ -119,6 +117,23 @@ def test_report_json_round_trips():
     data = json.loads(text)
     assert data["verdict"] == {"kind": "k_plus_ell_cycles", "count": 3}
     assert data["k"] == 2 and data["l"] == 1
+
+
+# P7 with its alpha term on P, plus one more term
+FAILING_P7_TERMS = [
+    (("Q", "alpha", "(4*y^2 - 1)*x"), "no perturbation parameters"),
+    (("Q", "a", "(4*y^2 - 1)*x^2"), "all linear parts vanish identically"),
+    (("Q", "a", "(4*y^2 - 1)*x*y"), "no admissible simple zero of f_0 found"),
+    (("P", "a", "(4*x^2 - 1)*y^2"), "no later f is nonzero at the candidate"),
+]
+
+
+@pytest.mark.parametrize("term, reason", FAILING_P7_TERMS)
+def test_failed_conditions_name_their_reason(term, reason):
+    setup = build_perturbation(p7_base(), [("P", "alpha", "-(4*x^2 - 1)*y"), term])
+    rep = ggt_analyze(setup)
+    assert rep.verdict == ("conditions_fail", reason)
+    assert rep.to_json()["verdict"] == {"kind": "conditions_fail", "reason": reason}
 
 
 def _sym(sympy, p):

@@ -128,6 +128,7 @@ ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y
     (["singular", "--file", "json:" + json.dumps({"f": "x + y",
                                                    "g": f"y^{cli.MAX_BEZOUT + 1}"})],
      f"exceeds {cli.MAX_BEZOUT}"),
+    (SIM + START + TMAX + ["--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = list(argv)
@@ -336,6 +337,46 @@ def test_berlinskii_raw_pair(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["berlinskii"]["configuration"] == "convex_alternating"
+
+
+def test_berlinskii_on_a_family(tmp_path, capsys):
+    src = tmp_path / "fam.json"
+    src.write_text(json.dumps({"f": "16*x^2 - 1 + y", "g": "16*y^2 - 1 + x"}))
+    code, out, err = run(capsys, "berlinskii", "--file", str(src))
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    points = data["singularities"]["points"]
+    assert sorted(p["type"] for p in points) == ["antisaddle_node"] * 2 + ["saddle"] * 2
+    # irrational coordinates are reported as [lo, hi] boxes
+    assert all(isinstance(p["location"][c], list) for p in points for c in "xy")
+    assert data["berlinskii"] == {"configuration": "convex_alternating"}
+    # the orientation checks leave the reported boxes as they were
+    code, out, err = run(capsys, "singular", "--file", str(src))
+    assert code == 0 and json.loads(out) == data["singularities"]
+
+
+def test_bifurcate_setup_failing_its_conditions_exits_1_under_strict(tmp_path, capsys):
+    base = fields.p7_base()
+    src = tmp_path / "setup.json"
+    src.write_text(json.dumps({
+        "base": {"f": str(base.f), "g": str(base.g), "variables": list(base.variables)},
+        "terms": [["P", "alpha", "-(4*x^2 - 1)*y"], ["Q", "a", "(4*y^2 - 1)*x*y"]],
+    }))
+    code, out, err = run(capsys, "bifurcate", "--setup", str(src), "--strict")
+    assert code == 1 and err == ""
+    assert json.loads(out)["verdict"] == {
+        "kind": "conditions_fail", "reason": "no admissible simple zero of f_0 found"}
+
+
+@pytest.mark.parametrize("target", ["missing/rep.json", "taken"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, target):
+    (tmp_path / "taken").mkdir()  # --out naming a directory
+    out = tmp_path / target
+    code, stdout, err = run(capsys, "lyap", "--family", "P4", "--N", "1",
+                            "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["taken"]  # no temp file left behind
 
 
 def test_berlinskii_decides_orientations_on_certified_boxes(tmp_path, capsys):

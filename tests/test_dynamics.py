@@ -45,6 +45,15 @@ def test_irrational_intersections_certified():
     assert all(p.point.sign_of(golden) == 0 for p in rep.points)
 
 
+def test_enclosure_does_not_depend_on_earlier_calls():
+    f, g = _pair("x^2 - x - 1", "y - x")
+    points = [p.point for p in dynamics.pair_report(f, g).points]
+    first = [p.enclosure() for p in points]
+    for p in points:
+        p.enclosure(Fraction(1, 10**30))
+    assert [p.enclosure() for p in points] == first
+
+
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
 def test_enclosure_rejects_a_width_that_is_not_positive(width):
     f, g = _pair("x^2 - x - 1", "y - x")

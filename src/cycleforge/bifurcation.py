@@ -91,7 +91,6 @@ class PerturbationSetup:
 
     base: VectorField
     field: VectorField
-    mu_symbols: tuple
     lambda_symbols: tuple
     alpha_symbol: str = "alpha"
     point: tuple = (Fraction(0), Fraction(0))
@@ -110,16 +109,19 @@ def build_perturbation(
     line factor of its target (4x^2-1 for P, 4y^2-1 for Q) so the invariant
     lines survive the perturbation; offending terms are rejected by name.
     Symbols other than `alpha_symbol`, which must be the symbol of a term,
-    become the small parameters Lambda, in order of first appearance.
+    become the small parameters Lambda, in order of first appearance; no
+    symbol may be x, y or a parameter of the base.
     """
-    mu_symbols = base.parameters
     new_syms: list = []
     for target, sym, expr in terms:
         if target not in ("P", "Q"):
             raise ValueError(f"unknown target {target!r}")
-        if sym not in new_syms and sym not in mu_symbols:
+        if sym in base.variables:
+            raise ValueError(f"perturbation symbol {sym!r} is x, y or a "
+                             "parameter of the base")
+        if sym not in new_syms:
             new_syms.append(sym)
-    variables = ("x", "y") + mu_symbols + tuple(new_syms)
+    variables = ("x", "y") + base.parameters + tuple(new_syms)
     df = MultiPoly.zero(variables)
     dg = MultiPoly.zero(variables)
     lines = dict(zip("PQ", square_factors(variables)))
@@ -151,7 +153,6 @@ def build_perturbation(
     return PerturbationSetup(
         base=base,
         field=fld,
-        mu_symbols=mu_symbols,
         lambda_symbols=lam,
         alpha_symbol=alpha_symbol,
         point=tuple(Fraction(c) for c in point),
@@ -221,17 +222,16 @@ class GGTReport:
     out, else ("conditions_fail", reason).
     """
 
-    k: int
-    l: Optional[int]
-    M: list  # p x k matrix of RatFunc (reparametrization of Lambda)
-    g_coeffs: list  # rows k.. of the transformed matrix, columns < k
-    f_funcs: list  # RatFunc f_0, f_1, ...
-    mu0: Optional[RootLocation]
-    candidates: list
-    verdict: tuple
     point: tuple
     symmetric: bool
-    mu_symbol: Optional[str]
+    k: int = 0
+    l: Optional[int] = None
+    M: list = field(default_factory=list)  # p x k RatFunc reparametrization of Lambda
+    g_coeffs: list = field(default_factory=list)  # rows k.. of A*M, columns < k
+    f_funcs: list = field(default_factory=list)  # RatFunc f_0, f_1, ...
+    mu0: Optional[RootLocation] = None
+    candidates: list = field(default_factory=list)
+    verdict: tuple = ()
     linear_matrix: list = field(default_factory=list)
     quantities: list = field(default_factory=list)
 
@@ -266,14 +266,18 @@ class GGTReport:
         return out
 
 
-def _fail(k, point, symmetric, reason, *, M=(), g=(), f=(), A=(), quantities=(),
-          candidates=(), mu_symbol=None) -> GGTReport:
-    return GGTReport(
-        k=k, l=None, M=list(M), g_coeffs=list(g), f_funcs=list(f), mu0=None,
-        candidates=list(candidates), verdict=("conditions_fail", reason),
-        point=point, symmetric=symmetric, mu_symbol=mu_symbol,
-        linear_matrix=list(A), quantities=list(quantities),
-    )
+def _quantities_at_point(setup: PerturbationSetup, binding: dict, N: int,
+                         jet: Optional[tuple] = None):
+    """The first N Lyapunov quantities around setup.point of the field with
+    the binding applied; alpha is 0 unless the binding names it, and names
+    that are not variables of the field are dropped."""
+    fld = setup.field
+    binding = {k: v for k, v in {setup.alpha_symbol: Fraction(0), **binding}.items()
+               if k in fld.variables}
+    vs = tuple(v for v in fld.variables if v not in binding)
+    nf = normalize_at(fld.P.evaluate(binding).with_variables(vs),
+                      fld.Q.evaluate(binding).with_variables(vs), setup.point)
+    return lyapunov_quantities(nf.p, nf.q, N, jet=jet, quantity_scale=nf.quantity_scale)
 
 
 def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
@@ -283,36 +287,30 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     the rank k of their gradient matrix over the rational functions of mu,
     the reparametrization M, the functions f_i, and the admissible simple
     zeros mu0 of f_0 with f_1(mu0) != 0, certifying k + 1 cycles there.
+    A failed check returns the report as far as it got.
     """
+    report = GGTReport(point=setup.point, symmetric=setup.field.is_even_symmetric())
+
+    def fail(reason: str) -> GGTReport:
+        report.verdict = ("conditions_fail", reason)
+        return report
+
     p = len(setup.lambda_symbols)
-    symmetric = setup.field.is_even_symmetric()
-    point = setup.point
     if p == 0:
-        return _fail(0, point, symmetric, "no perturbation parameters")
+        return fail("no perturbation parameters")
     if N is None:
         N = max(p + 1, 3)
-    vs = tuple(v for v in setup.field.variables if v != setup.alpha_symbol)
-    P0 = setup.field.P.evaluate({setup.alpha_symbol: Fraction(0)}).with_variables(vs)
-    Q0 = setup.field.Q.evaluate({setup.alpha_symbol: Fraction(0)}).with_variables(vs)
-    nf = normalize_at(P0, Q0, point)
-    rep = lyapunov_quantities(
-        nf.p, nf.q, N,
-        jet=(setup.lambda_symbols, 1),
-        quantity_scale=nf.quantity_scale,
-    )
-    A = linear_parts_in(rep, setup.lambda_symbols)
+    rep = _quantities_at_point(setup, {}, N, jet=(setup.lambda_symbols, 1))
+    report.quantities = rep.quantities
+    A = report.linear_matrix = linear_parts_in(rep, setup.lambda_symbols)
     rest_vars = A[0][0].variables if A else ()
-    k = len(echelon(ExactMatrix(A))[2])
-    common = dict(A=A, quantities=rep.quantities)
+    k = report.k = len(echelon(ExactMatrix(A))[2])
     if k == 0:
-        return _fail(0, point, symmetric, "all linear parts vanish identically", **common)
+        return fail("all linear parts vanish identically")
     if N < k + 1:
-        return _fail(k, point, symmetric,
-                     f"need at least {k + 1} quantities, computed {N}", **common)
+        return fail(f"need at least {k + 1} quantities, computed {N}")
     if p != k:
-        return _fail(k, point, symmetric,
-                     f"kernel dimension {p - k + 1} of the leading rows is not 1",
-                     **common)
+        return fail(f"kernel dimension {p - k + 1} of the leading rows is not 1")
 
     # One reduction of [B | I], B the leading k-1 rows, gives R = d·B_P⁻¹·[B | I]:
     # the kernel direction of B from the one non-pivot column n, and the
@@ -323,8 +321,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
         [row + [one if j == i else zero for j in range(k - 1)]
          for i, row in enumerate(B)]))
     if any(c >= p for c in pivots):
-        return _fail(k, point, symmetric,
-                     "leading rows of the linear-part matrix are dependent", **common)
+        return fail("leading rows of the linear-part matrix are dependent")
     d = one * d  # Fraction(1) when B is empty (k = 1)
     n = next(c for c in range(p) if c not in pivots)
     m_polys = [zero] * p
@@ -342,7 +339,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     for row, c in zip(R, pivots):
         Mnum[c][: k - 1] = row[p:]
     col_den = [d] * (k - 1) + [m_polys[last]]
-    M = [[ratfunc(e, den) for e, den in zip(row, col_den)] for row in Mnum]
+    M = report.M = [[ratfunc(e, den) for e, den in zip(row, col_den)] for row in Mnum]
 
     # transformed matrix T = A * M; rows below the identity block carry g and f
     T = [
@@ -355,21 +352,18 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
             want_one = i == j
             ok = T[j][i].is_one() if want_one else T[j][i].is_zero()
             if not ok:
-                return _fail(k, point, symmetric,
-                             f"post-reparametrization row {j + 1} is not the "
-                             f"{j + 1}-th coordinate projection",
-                             M=M, **common)
-    f_funcs = [T[k - 1 + i][k - 1] for i in range(len(A) - k + 1)]
-    g_coeffs = [[T[k - 1 + i][j] for j in range(k - 1)] for i in range(len(A) - k + 1)]
-    common.update(M=M, f=f_funcs, g=g_coeffs)
+                return fail(f"post-reparametrization row {j + 1} is not the "
+                            f"{j + 1}-th coordinate projection")
+    f_funcs = report.f_funcs = [T[k - 1 + i][k - 1] for i in range(len(A) - k + 1)]
+    report.g_coeffs = [[T[k - 1 + i][j] for j in range(k - 1)]
+                       for i in range(len(A) - k + 1)]
 
     if len(rest_vars) != 1:
-        return _fail(k, point, symmetric,
-                     "zero location needs exactly one center parameter", **common)
+        return fail("zero location needs exactly one center parameter")
     mu = rest_vars[0]
     f0 = f_funcs[0]
     if f0.is_zero():
-        return _fail(k, point, symmetric, "f_0 vanishes identically", **common)
+        return fail("f_0 vanishes identically")
     coeffs = poly_to_coeffs(f0.num, mu)
     roots = real_roots(coeffs) if len(coeffs) > 1 else []
     f0d = f0.num.diff(mu)
@@ -412,37 +406,23 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
                 chosen = cand
         candidates.append(cand)
 
+    report.candidates = candidates
     if chosen is None:
-        reason = (candidates[0]["reason"] if candidates
-                  else "no admissible simple zero of f_0 found")
-        return _fail(k, point, symmetric, reason, candidates=candidates,
-                     mu_symbol=mu, **common)
-    ell = chosen["l"]
-    return GGTReport(
-        k=k, l=ell, M=M, g_coeffs=g_coeffs, f_funcs=f_funcs,
-        mu0=chosen["mu0"], candidates=candidates,
-        verdict=("k_plus_ell_cycles", k + ell),
-        point=point, symmetric=symmetric, mu_symbol=mu,
-        linear_matrix=A, quantities=rep.quantities,
-    )
+        return fail(candidates[0]["reason"] if candidates
+                    else "no admissible simple zero of f_0 found")
+    report.l, report.mu0 = chosen["l"], chosen["mu0"]
+    report.verdict = ("k_plus_ell_cycles", k + report.l)
+    return report
 
 
 def hopf_order_one(setup: PerturbationSetup, mu_binding: Optional[dict] = None) -> str:
     """Classical one-cycle criterion: nonvanishing first quantity.
 
-    Binds the given parameters (alpha forced to 0) and evaluates L_1 at
-    setup.point; "one_cycle" when it is nonzero as a polynomial in
+    Binds the given parameters (alpha is 0 unless given) and evaluates L_1
+    at setup.point; "one_cycle" when it is nonzero as a polynomial in
     whatever symbols remain, else "none".
     """
-    binding = dict(mu_binding or {})
-    fld = setup.field
-    binding.setdefault(setup.alpha_symbol, Fraction(0))
-    binding = {k: v for k, v in binding.items() if k in fld.variables}
-    vs = tuple(v for v in fld.variables if v not in binding)
-    P0 = fld.P.evaluate(binding).with_variables(vs)
-    Q0 = fld.Q.evaluate(binding).with_variables(vs)
-    nf = normalize_at(P0, Q0, setup.point)
-    rep = lyapunov_quantities(nf.p, nf.q, 1, quantity_scale=nf.quantity_scale)
+    rep = _quantities_at_point(setup, mu_binding or {}, 1)
     return "none" if rep.quantities[0].is_zero() else "one_cycle"
 
 

@@ -116,14 +116,14 @@ def darboux_search(
     )
     b = [-div_c.get(m, zero).constant_value() for m in mono]
     sol = solve_linear_exact(A, b)
-    if sol.kind == "inconsistent":
+    if sol is None:
         return None
     residual = div
-    for K, lam in zip(cofs, sol.solution):
+    for K, lam in zip(cofs, sol):
         residual = residual + K * lam
     if not residual.is_zero():
         return None
-    factors = list(zip(kept, sol.solution))
+    factors = list(zip(kept, sol))
     return CenterCertificate(
         kind="darboux",
         factors=factors,

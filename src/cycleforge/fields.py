@@ -170,8 +170,9 @@ P5_CONDITIONS = {
 def apply_condition(base: VectorField, condition: Mapping) -> VectorField:
     """Substitute a center-condition stratum into a family.
 
-    Values may be numbers or polynomial strings in the remaining
-    parameters.
+    Values may be numbers or polynomial strings in the family's
+    parameters, substituted at once, so a condition may swap parameters; a
+    substituted parameter that the result still uses stays a variable.
     """
     variables = base.variables
     binding = {}
@@ -182,9 +183,10 @@ def apply_condition(base: VectorField, condition: Mapping) -> VectorField:
             binding[name] = MultiPoly.const(Fraction(val), variables)
     f = base.f.substitute(binding)
     g = base.g.substitute(binding)
+    live = f.used_variables() + g.used_variables()
     used = ("x", "y") + tuple(
         v for v in variables
-        if v not in ("x", "y") and v not in condition
+        if v not in ("x", "y") and (v not in condition or v in live)
     )
     return VectorField(f.with_variables(used), g.with_variables(used))
 
@@ -217,12 +219,6 @@ class GameModel:
             ]
 
         return GameModel(payoff_A=conv(data["A"]), payoff_B=conv(data["B"]))
-
-    def to_json(self) -> dict:
-        return {
-            "A": [[format_poly(e) for e in row] for row in self.payoff_A],
-            "B": [[format_poly(e) for e in row] for row in self.payoff_B],
-        }
 
 
 def build_from_game(model: GameModel) -> VectorField:

@@ -11,7 +11,6 @@ inverse of the pivot block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -113,28 +112,14 @@ def determinant(A: ExactMatrix) -> Entry:
     return -d if sign < 0 else d
 
 
-@dataclass
-class LinearSolution:
-    """Outcome of solve_linear_exact.
-
-    kind is "unique", "parametrized" or "inconsistent".  For solvable
-    systems ``solution`` holds one solution with every free variable pinned
-    to zero; ``free_indices`` lists the pinned unknowns.  An inconsistent
-    system has no ``solution``.
-    """
-
-    kind: str
-    solution: Optional[list] = None
-    free_indices: list = field(default_factory=list)
-
-
-def solve_linear_exact(A: ExactMatrix, b: Sequence[Entry]) -> LinearSolution:
+def solve_linear_exact(A: ExactMatrix, b: Sequence[Entry]) -> Optional[list]:
     """Solve A x = b with constant scalar A and scalar/polynomial b.
 
     Reduces [A | b] with ``echelon``: the system is inconsistent exactly when
-    the b column gets a pivot.  Otherwise each pivot unknown is its row's
-    last entry over the last pivot, and an unknown is free (pinned to zero)
-    when its column lies in the span of the columns before it.
+    the b column gets a pivot, and then the result is None.  Otherwise each
+    pivot unknown is its row's last entry over the last pivot, and an unknown
+    whose column lies in the span of the columns before it is free and
+    pinned to zero.
     """
     if A.rows != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
@@ -142,10 +127,8 @@ def solve_linear_exact(A: ExactMatrix, b: Sequence[Entry]) -> LinearSolution:
     _, d, pivots, rows = echelon(
         ExactMatrix([row + [rhs] for row, rhs in zip(A.entries, b)]))
     if n in pivots:
-        return LinearSolution(kind="inconsistent")
+        return None
     x: list = [Fraction(0)] * n
     for c, row in zip(pivots, rows):
         x[c] = _exact_div(row[n], d)
-    free = [c for c in range(n) if c not in pivots]
-    kind = "unique" if not free else "parametrized"
-    return LinearSolution(kind=kind, solution=x, free_indices=free)
+    return x

@@ -74,9 +74,6 @@ class NormalizedField:
 
     p: MultiPoly
     q: MultiPoly
-    point: tuple
-    omega: object  # time rescale factor, sqrt(det DX)
-    radicand: int  # 1 when the normalization stays rational
     quantity_scale: Fraction = Fraction(1)
 
 
@@ -113,9 +110,7 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
     if scalar_sign(det) <= 0:
         raise ValueError("Jacobian determinant is not positive")
     if a == 0 and b == -1 and c == 1:
-        return NormalizedField(
-            p=pt, q=qt, point=tuple(point), omega=Fraction(1), radicand=1
-        )
+        return NormalizedField(p=pt, q=qt)
     # trace-free with positive det forces b*c < -a^2 <= 0, so b, c != 0
     omega = sqrt_scalar(Fraction(det))
     # (u, v) = (y, -(c*x - a*y)/w); inverse: y = u, x = (a*u - w*v)/c
@@ -127,15 +122,7 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
     inv_w = inverse(omega)
     pn = -yv + gs * inv_w
     qn = xv - (fs * c - gs * a) * (inv_w * inv_w)
-    d = omega.d if isinstance(omega, QuadExt) else 1
-    return NormalizedField(
-        p=pn,
-        q=qn,
-        point=tuple(point),
-        omega=omega,
-        radicand=d,
-        quantity_scale=Fraction(2),
-    )
+    return NormalizedField(p=pn, q=qn, quantity_scale=Fraction(2))
 
 
 @dataclass

@@ -438,32 +438,23 @@ class MultiPoly:
         return _rational(self.variables, c, d)
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables (exact composition)."""
+        """Substitute polynomials for variables (exact composition).
+
+        Terms are grouped by their exponents in the substituted variables, so
+        each group's coefficient is multiplied once by cached powers."""
         all_vars = list(self.variables)
         for p in bindings.values():
-            for v in p.variables:
-                if v not in all_vars:
-                    all_vars.append(v)
+            all_vars += [v for v in p.variables if v not in all_vars]
+        names = [v for v in bindings if v in self.variables]
+        powers = [[bindings[v].with_variables(all_vars)] for v in names]
         result = MultiPoly.zero(all_vars)
-        subs = {v: p.with_variables(all_vars) for v, p in bindings.items()}
-        powers = {v: {0: MultiPoly.const(1, all_vars)} for v in subs}
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(c, all_vars)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                v = self.variables[i]
-                if v in subs:
-                    cache = powers[v]
-                    if e not in cache:
-                        p = cache[max(cache)]
-                        for _ in range(max(cache), e):
-                            p = p * subs[v]
-                            cache[max(cache) + 1] = p
-                    term = term * cache[e]
-                else:  # v**e, whose key is e times the key of v
-                    x = MultiPoly.var(v, all_vars)
-                    term = term * _new(x.variables, {k * e: 1 for k in x._c}, 1)
+        for exps, coeff in self.collect(names).items():
+            term = coeff.with_variables(all_vars)
+            for e, cache in zip(exps, powers):
+                while e > len(cache):
+                    cache.append(cache[-1] * cache[0])
+                if e:
+                    term = term * cache[e - 1]
             result = result + term
         return result
 

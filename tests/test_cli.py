@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, JSON shape, atomic output."""
 
+import contextlib
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cycleforge import cli, fields
 from cycleforge.cli import main
@@ -23,6 +27,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _with_files(argv, directory) -> list:
+    """argv with each "json:<text>" written to an input file in directory and
+    replaced by its path, and each "out:<name>" replaced by a path there."""
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if a.startswith("json:"):
+            argv[i] = os.path.join(directory, f"in{i}.json")
+            with open(argv[i], "w") as fh:
+                fh.write(a[len("json:"):])
+        elif a.startswith("out:"):
+            argv[i] = os.path.join(directory, a[len("out:"):])
+    return argv
 
 
 def test_lyap_json(capsys):
@@ -72,6 +90,9 @@ SETUP = 'json:{"base": {"f": "y", "g": "-x"}, "terms": [], "point": '
 # a --setup file up to its "alpha" value, which no term's symbol matches
 ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y", "mu"]}, '
          '"terms": [["P", "lam", "(4*x^2-1)*y^2"]], "point": ["1/4", 0], "alpha": ')
+# a --setup file over (x, y, mu) up to the symbol and expression of its one term
+TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "y", "mu"]}, '
+        '"terms": [["P", ')
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -129,14 +150,11 @@ ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y
                                                    "g": f"y^{cli.MAX_BEZOUT + 1}"})],
      f"exceeds {cli.MAX_BEZOUT}"),
     (SIM + START + TMAX + ["--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
+    (["bifurcate", "--setup", TERM + '"mu", "(4*x^2-1)*y"]]}'], "symbol 'mu'"),
+    (["bifurcate", "--setup", TERM + '"x", "(4*x^2-1)*y"]]}'], "symbol 'x'"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
-    argv = list(argv)
-    for i, a in enumerate(argv):
-        if a.startswith("json:"):  # an input file with the given contents
-            argv[i] = str(tmp_path / f"in{i}.json")
-            (tmp_path / f"in{i}.json").write_text(a[len("json:"):])
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *_with_files(argv, tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
@@ -198,6 +216,13 @@ def test_center_certify_strict_negative(capsys):
     code, out, err = run(capsys, "center-certify", "--family", "P4", "--strict")
     assert code == 1
     assert json.loads(out)["certificate"]["kind"] == "none"
+
+
+@pytest.mark.parametrize("condition", ['{"a11": "a02", "a02": "a11"}', '{"a11": "a11"}'])
+def test_condition_may_swap_or_keep_its_parameters(capsys, condition):
+    code, out, err = run(capsys, "center-certify", "--family", "P4", "--condition", condition)
+    assert code == 0 and err == ""
+    assert json.loads(out)["condition"] == condition
 
 
 def test_center_certify_with_curve(capsys):
@@ -510,3 +535,147 @@ def test_canned_report_is_byte_identical(tmp_path, label, argv):
     assert main(argv + ["--out", str(dst)]) == 0
     with open(os.path.join(REFERENCE, label + ".json"), "rb") as fh:
         assert dst.read_bytes() == fh.read()
+
+
+# -- the exit contract under generated input ----------------------------------------
+
+PARAMETERS = {"P4": ["a11", "a02", "b20", "b11"], "P5": ["a20", "a11", "a02", "b20", "b11", "b02"],
+              "P7": ["mu"], "P8": ["mu"], "P9": ["mu", "alpha", "lam"], "file": ["mu"]}
+NAMES = ["a11", "mu", "alpha", "x", "zz", ""]
+NUMBERS = ["0", "1", "-2", "1/3", "-3/4", "1/100"]
+BAD_NUMBERS = ["1/0", "0.5", "nan", "abc", ""]
+POLYS = ["y", "-x", "x*y - 1/3", "y + mu*x*y", "-x + x^2 + mu*y^2", "x^2 + sqrt(2)*y", "2"]
+BAD_POLYS = ["1/0", "(x", "zz*x", "", "x^70000", "x***y"]
+TERMS = ["(4*x^2-1)*y", "(4*x^2-1)*y^2", "(4*y^2-1)*x", "(4*y^2-1)*x*y", "-(4*x^2-1)*y"]
+BAD_TERMS = ["x*y", "1/0", "(4*x^2-1)*zz"]
+JSON_JUNK = [None, True, 0.5, float("inf"), [1], {}, "1/0"]
+
+
+def _bad(draw) -> bool:
+    """True one time in five: the next piece is an invalid one."""
+    return draw(st.sampled_from([False] * 4 + [True]))
+
+
+def _pick(draw, valid, invalid):
+    return draw(st.sampled_from(invalid if _bad(draw) else valid))
+
+
+def _json_arg(data) -> str:
+    return "json:" + json.dumps(data)
+
+
+def _binding(draw, names) -> str:
+    pairs = [(n, _pick(draw, NUMBERS, BAD_NUMBERS)) for n in names]
+    if _bad(draw):  # a name dropped, added or repeated
+        pairs = draw(st.lists(st.sampled_from(pairs + [("zz", "1"), ("x", "0")]), max_size=4))
+    return ",".join(f"{n}={v}" for n, v in pairs) or draw(st.sampled_from(["", "junk"]))
+
+
+@st.composite
+def _argv(draw):
+    """One CLI call drawn from valid and invalid pieces; every flag parses (a
+    value that may start with "-" is joined to its flag with "="), so argparse
+    itself never exits.  P5 cascades, dense pairs and large --N are known to
+    be slow and are left out."""
+    command = draw(st.sampled_from(["lyap", "center-certify", "eliminate", "bifurcate",
+                                    "singular", "berlinskii", "simulate", "game-build"]))
+    argv = [command]
+    family = _pick(draw, ["P4", "P5", "P7", "P8", "P9", "file"], ["NOPE"])
+    if command == "eliminate":  # P4 has a cascade; P5's is slow
+        family = _pick(draw, ["P4"], ["P7", "P9", "file", "NOPE"])
+    params = PARAMETERS.get(family, [])
+    if family == "file":
+        variables = _pick(draw, [["x", "y", "mu"]], [["x", "y"], ["x", "mu"], ["x", "y", "x"]])
+        data = {"f": _pick(draw, POLYS, BAD_POLYS), "g": _pick(draw, POLYS, BAD_POLYS),
+                "variables": variables}
+        family_args = ["--file", _json_arg(data)]
+    else:
+        family_args = ["--family", family]
+    if command not in ("bifurcate", "game-build"):
+        argv += family_args
+    if command in ("lyap", "eliminate", "bifurcate") and draw(st.booleans()):
+        argv += ["--N", str(_pick(draw, [1, 2, 3], [0, -1]))]
+    if command == "center-certify":
+        if draw(st.booleans()):
+            labels = sorted(fields.P4_CONDITIONS) + sorted(fields.P5_CONDITIONS)
+            values = params + NUMBERS + [0, 2] + [f"-2*{p} + 1" for p in params]
+            names = draw(st.lists(st.sampled_from(params or ["zz"]), max_size=3, unique=True))
+            cond = json.dumps({n: _pick(draw, values, BAD_POLYS + BAD_NUMBERS + JSON_JUNK)
+                               for n in names + _pick(draw, [[]], [["zz"], ["x"]])})
+            # a canned label one time in five
+            argv.append("--condition=" + (draw(st.sampled_from(labels)) if _bad(draw)
+                                          else cond))
+        curves = ["a11*x + a02*y + 1", "x", "4*x^2 - 1", "x + y + 1"]
+        argv += ["--curve=" + _pick(draw, curves, BAD_POLYS)
+                 for _ in range(draw(st.integers(0, 2)))]
+    elif command == "eliminate":
+        order = draw(st.lists(st.sampled_from(params + ["zz"]), min_size=1, max_size=3))
+        argv += ["--order=" + ",".join(order), "--bound", str(_pick(draw, [1, 2, 3, 4], [0, 5]))]
+    elif command == "bifurcate":
+        if draw(st.booleans()):
+            argv += ["--prop", _pick(draw, ["P7", "P8", "P9b", "P9c", "T1c"], ["XYZ"])]
+        else:
+            terms = [[_pick(draw, ["P", "Q"], ["R"]), _pick(draw, ["alpha", "a", "b"], NAMES),
+                      _pick(draw, TERMS, BAD_TERMS)] for _ in range(draw(st.integers(0, 4)))]
+            setup = {"base": {"f": _pick(draw, ["y + mu*x*y", "x*y"], BAD_POLYS),
+                              "g": _pick(draw, ["-x + x^2", "1 - 16*x^2 + mu*y^2"], BAD_POLYS),
+                              "variables": ["x", "y", "mu"]},
+                     "terms": terms}
+            if draw(st.booleans()):
+                setup["alpha"] = _pick(draw, ["alpha", "a"], NAMES + [None])
+            if draw(st.booleans()):
+                setup["point"] = _pick(draw, [[0, 0], ["1/4", 0]],
+                                       [["1/0", 0], [1], "0,0", [None, 0]])
+            argv += ["--setup", _json_arg(setup)]
+    elif command in ("singular", "berlinskii", "simulate"):
+        argv.append("--bind=" + _binding(draw, params))
+        if command == "berlinskii" and draw(st.booleans()):
+            argv.append("--raw-pair")
+        if command != "simulate" and draw(st.booleans()):
+            argv += ["--region", draw(st.sampled_from(["delta", "all"]))]
+        if command == "simulate":
+            argv += ["--start", _pick(draw, ["0.3,0", "0.1,-0.2"], ["5,5", "nan,0", "0.1"]),
+                     "--tmax", _pick(draw, ["0.5", "1"], ["-1", "nan", "inf", "1e9"]),
+                     "--samples", _pick(draw, ["1", "5"], ["0", "-3"])]
+    elif command == "game-build":
+        def matrix():
+            entries = st.sampled_from([0, 1, -1, "1/4", "x", "y", "2*x - y"])
+            rows = [[draw(entries), draw(entries)], [draw(entries), draw(entries)]]
+            if _bad(draw):
+                rows[1][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_POLYS + JSON_JUNK))
+            return rows[:1] if _bad(draw) else rows
+        argv += ["--file", _json_arg({"A": matrix(), "B": matrix()})]
+    if draw(st.booleans()):
+        argv.append("--strict")
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--out", _pick(draw, ["out:report"], ["out:missing/report"])]
+    return argv
+
+
+@example(["center-certify", "--family", "P4", "--condition", '{"a11": "a02", "a02": "a11"}'])
+@example(["center-certify", "--family", "P4", "--condition", '{"a11": "a11"}'])
+@example(["bifurcate", "--setup", TERM + '"mu", "(4*x^2-1)*y"]]}'])
+@example(["bifurcate", "--setup", TERM + '"x", "(4*x^2-1)*y"]]}'])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_generated_input_keeps_the_exit_contract(argv):
+    """0 writes a report that parses, 1 only under --strict, 2 one error line;
+    never 3.  Derandomized, so every run makes the same calls."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _with_files(argv, tmp)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        assert code != 1 or "--strict" in argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1]) as fh:
+                out = fh.read()
+        if argv[0] == "simulate":
+            assert out.splitlines()[0] == "t,x,y"
+        else:
+            json.loads(out)

@@ -1,5 +1,6 @@
 """numpy and scipy stay out of every process, the layers the benchmark
-tracer wraps exist, and every definition in src/ has a caller.
+tracer wraps exist, every definition in src/ has a caller and every field
+a reader.
 
 The program imports neither: the integrator runs on Python floats, so
 symbolic commands, trajectories and return maps load no numeric module.
@@ -23,6 +24,9 @@ README = SRC.parent / "README.md"
 # CLI command reaches
 ENTRY_POINTS = ("index_lemma_check", "index_sum", "contact_points", "focus_stability",
                 "displacement_sign_changes", "verify", "is_polynomial")
+# fields of entry-point results that only tests read
+ENTRY_POINT_FIELDS = ("PerturbationSetup.base", "ContactPoint.location", "ContactPoint.x",
+                      "ContactPoint.simple")
 NUMERIC = ("numpy", "scipy")
 
 # fast symbolic commands, one per kind of exact work
@@ -182,3 +186,21 @@ def test_every_definition_has_a_caller():
                     if named[name] <= n and not name.startswith(("__", "_cmd_"))
                     and name not in ENTRY_POINTS)
     assert unused == []
+
+
+def test_every_field_has_a_reader():
+    """Each annotated field of a src/ class appears as `.name` somewhere in
+    src/, the benchmark tracer or the README, apart from the entry-point
+    results that only tests read.  The match is by name and an assignment
+    counts, so this finds the fields nothing ever names."""
+    texts = [path.read_text() for path in sorted(SRC.rglob("*.py"))]
+    read = set(re.findall(r"\.(\w+)", "\n".join(
+        texts + [TRACER.read_text(), README.read_text()])))
+    unread = sorted(
+        f"{node.name}.{d.target.id}"
+        for text in texts for node in ast.parse(text).body
+        if isinstance(node, ast.ClassDef)
+        for d in node.body
+        if isinstance(d, ast.AnnAssign) and isinstance(d.target, ast.Name)
+        and d.target.id not in read and f"{node.name}.{d.target.id}" not in ENTRY_POINT_FIELDS)
+    assert unread == []

@@ -114,6 +114,21 @@ def test_substitute_composition():
 
 
 @settings(max_examples=30, deadline=None)
+@given(polys(), polys(), polys())
+def test_substitute_is_simultaneous_and_matches_evaluation(p, q, r):
+    # the result keeps p's variables, then each binding's new ones in order;
+    # a key that is not a variable of p is ignored
+    q, r = q.renamed(("x", "t")), r.renamed(("s", "y"))
+    out = p.substitute({"y": q, "z": r, "x": r})
+    assert out.variables == ("x", "y", "t", "s")
+    for pt in ({"x": Fraction(1, 3), "y": Fraction(-2), "t": Fraction(3, 2), "s": Fraction(5)},
+               {"x": Fraction(-1), "y": Fraction(1, 2), "t": Fraction(0), "s": Fraction(-3, 4)}):
+        xv = r.eval_scalar({"s": pt["s"], "y": pt["y"]})
+        yv = q.eval_scalar({"x": pt["x"], "t": pt["t"]})
+        assert out.eval_scalar(pt) == p.eval_scalar({"x": xv, "y": yv})
+
+
+@settings(max_examples=30, deadline=None)
 @given(polys())
 def test_renamed_equals_substitution(p):
     names = ("u", "t")

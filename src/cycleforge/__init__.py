@@ -7,7 +7,7 @@ Modules:
 - lyapunov: focus quantities and normalization
 - fields, centers: field families and center certificates
 - bifurcation: first-order limit-cycle counts
-- dynamics: singularities, configurations, contact points
+- dynamics: singularities and four-point configurations
 - integrate: trajectories and return maps
 - cli: command-line front end
 """

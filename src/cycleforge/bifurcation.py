@@ -85,11 +85,10 @@ class PerturbationSetup:
     """A center family plus an invariance-preserving perturbation.
 
     `field` carries all symbols; setting alpha and every Lambda symbol to
-    zero recovers `base` exactly.  `point` is the singularity around which
-    cycles are counted.
+    zero recovers the base family exactly.  `point` is the singularity
+    around which cycles are counted.
     """
 
-    base: VectorField
     field: VectorField
     lambda_symbols: tuple
     alpha_symbol: str = "alpha"
@@ -151,7 +150,6 @@ def build_perturbation(
             raise AssertionError("perturbed field does not reduce to the base")
     lam = tuple(s for s in new_syms if s != alpha_symbol)
     return PerturbationSetup(
-        base=base,
         field=fld,
         lambda_symbols=lam,
         alpha_symbol=alpha_symbol,

@@ -40,6 +40,12 @@ MAX_BOUND = 4
 # about 1 s, and x^2000 11 s.
 MAX_BEZOUT = 1000
 
+# Longest `--bind` numerator or denominator, in bits (README gives its cost).
+MAX_BIND_BITS = 256
+
+# Largest `--N` of `lyap`, `eliminate` and `bifurcate` (README gives its cost).
+MAX_N = 9
+
 FAMILIES = {
     "P4": fields.p4_family,
     "P5": fields.p5_family,
@@ -141,16 +147,20 @@ def _check_parameters(flag: str, names, fam: fields.VectorField) -> None:
 
 
 def _parse_binding(spec: str | None, fam: fields.VectorField) -> dict:
-    """--bind as {name: Fraction}; every parameter of fam must be bound."""
+    """--bind as {name: Fraction}; every parameter of fam must be bound, and
+    no numerator, denominator or decimal exponent may exceed MAX_BIND_BITS."""
     out = {}
     for part in spec.split(",") if spec else ():
         if "=" not in part:
             raise InputError(f"bad binding {part!r}; expected name=value")
-        name, val = part.split("=", 1)
-        try:
-            out[name.strip()] = Fraction(val.strip())
+        name, val = (t.strip() for t in part.split("=", 1))
+        try:  # the exponent first, so that 1e2000 is never expanded
+            big = abs(int(val.lower().partition("e")[2] or 0)) > MAX_BIND_BITS
+            out[name] = v = Fraction(0 if big else val)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational value {val!r} for {name.strip()!r}")
+            raise InputError(f"bad rational value {val!r} for {name!r}")
+        if big or max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_BIND_BITS:
+            raise InputError(f"--bind value for {name!r} has over {MAX_BIND_BITS} bits")
     _check_parameters("--bind", out, fam)
     unbound = [v for v in fam.parameters if v not in out]
     if unbound:
@@ -410,8 +420,8 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors already
         return int(e.code or 0)
     try:
-        if getattr(args, "N", None) is not None and args.N < 1:
-            raise InputError(f"--N must be at least 1, got {args.N}")
+        if getattr(args, "N", None) is not None and not 1 <= args.N <= MAX_N:
+            raise InputError(f"--N must be between 1 and {MAX_N}, got {args.N}")
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (InputError, PolyParseError, ValueError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")

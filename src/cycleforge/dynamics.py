@@ -1,5 +1,5 @@
-"""Singularity location and classification, index identities, four-point
-configuration checks, and contact points on lines.
+"""Singularity location and classification, and four-point configuration
+checks.
 
 Common zeros of (f, g) come from one separating frame: integer
 coordinates (x, y) = M·(u, t) in which f or g has a constant leading
@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .centers import cofactor
 from .fields import VectorField, in_plane, square_factors
 from .poly import MultiPoly, format_poly
 from .resultants import multivariate_gcd, resultant, subresultant, substitute_ratio
 from .roots import (
-    IsolatingInterval,
     RatInterval,
     RootLocation,
     gcd_univariate,
@@ -312,30 +310,6 @@ def pair_report(f: MultiPoly, g: MultiPoly) -> SingularityReport:
     return _report(f, g, f, g)
 
 
-# -- index identity -----------------------------------------------------------------
-
-
-def index_lemma_check(f: MultiPoly, g: MultiPoly, u: MultiPoly, v: MultiPoly,
-                      p: Sequence) -> dict:
-    """det D(u*f, v*g)(p) = u(p)*v(p)*det D(f, g)(p) at a common zero p.
-
-    Exact for rational points; raises when p is not a common zero.
-    """
-    x0, y0 = Fraction(p[0]), Fraction(p[1])
-    at = {"x": x0, "y": y0}
-    allvars = tuple(dict.fromkeys(
-        ("x", "y") + tuple(s for q in (f, g, u, v) for s in q.variables)
-    ))
-    f, g, u, v = (q.with_variables(allvars) for q in (f, g, u, v))
-    if f.eval_scalar(at) != 0 or g.eval_scalar(at) != 0:
-        raise ValueError("point is not a common zero of f and g")
-    F, G = u * f, v * g
-    lhs = (F.diff("x") * G.diff("y") - F.diff("y") * G.diff("x")).eval_scalar(at)
-    det = (f.diff("x") * g.diff("y") - f.diff("y") * g.diff("x")).eval_scalar(at)
-    rhs = u.eval_scalar(at) * v.eval_scalar(at) * det
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
-
-
 # -- four-point configurations --------------------------------------------------------
 
 
@@ -424,64 +398,3 @@ def berlinskii_check(report: SingularityReport) -> BerlinskiiResult:
         "counterexample",
         detail=f"point {lone} of index {indices[lone]} is not inside the "
                f"triangle of points {[a, b, c]}")
-
-
-def index_sum(report: SingularityReport) -> Optional[int]:
-    if any(p.index is None for p in report.points):
-        return None
-    return sum(p.index for p in report.points)
-
-
-# -- contact points ------------------------------------------------------------------
-
-
-@dataclass
-class ContactPoint:
-    location: RootLocation  # along the line parameter
-    x: object
-    y: object
-    simple: bool
-
-
-def contact_points(field: VectorField, line: Sequence,
-                   binding: Optional[Mapping] = None) -> list:
-    """Certified tangency points of the flow with the line a*x + b*y + c = 0.
-
-    The contact function is <X, (a, b)> restricted to the line; an
-    invariant line is rejected (every point would be a contact point).
-    """
-    a, b, c = (Fraction(t) for t in line)
-    if a == 0 and b == 0:
-        raise ValueError("not a line")
-    fb = field.bind(dict(binding or {}))
-    vs = fb.f.variables
-    xv = MultiPoly.var("x", vs)
-    yv = MultiPoly.var("y", vs)
-    if cofactor(fb, xv * a + yv * b + c) is not None:
-        raise ValueError("line is invariant: infinitely many contact points")
-    H = fb.P * a + fb.Q * b
-    if b != 0:
-        # parametrize by x: y = -(a*x + c)/b
-        sub = {"y": xv * (-a / b) + Fraction(-c, 1) / b}
-        Hu = H.substitute(sub).with_variables(("x",))
-        var = "x"
-    else:
-        sub = {"x": MultiPoly.const(Fraction(-c, 1) / a, vs)}
-        Hu = H.substitute(sub).with_variables(("y",))
-        var = "y"
-    coeffs = poly_to_coeffs(Hu, var)
-    if not coeffs:
-        raise ValueError("contact function vanishes identically on the line")
-    if len(coeffs) == 1:
-        return []
-    dHu = Hu.diff(var)
-    out = []
-    for r in real_roots(coeffs):
-        simple = sign_at_root(dHu, r, var) != 0
-        t = r.midpoint() if isinstance(r, IsolatingInterval) else r
-        if b != 0:
-            x, y = t, -(a * t + c) / b
-        else:
-            x, y = -c / a, t
-        out.append(ContactPoint(location=r, x=x, y=y, simple=simple))
-    return out

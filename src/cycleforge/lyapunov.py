@@ -292,16 +292,3 @@ def linear_parts_in(report: LyapunovReport, symbols: Sequence[str]) -> list:
         ])
     return rows
 
-
-def focus_stability(report: LyapunovReport, bindings: Optional[dict] = None):
-    """Sign of the first nonzero quantity at the given parameter values.
-
-    Returns (index, sign) or (None, 0) when all evaluated quantities
-    vanish; negative sign means a stable focus.
-    """
-    for i, L in enumerate(report.quantities, start=1):
-        val = L.eval_scalar(bindings or {})
-        s = scalar_sign(val)
-        if s:
-            return i, s
-    return None, 0

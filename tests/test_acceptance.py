@@ -389,8 +389,9 @@ def test_criterion_09_configuration_suite():
             continue
         res = dynamics.berlinskii_check(rep)
         ok = ok and res.configuration != "counterexample"
-        # the induced square-invariant field keeps the configuration:
-        # both line factors are negative inside the square, so the
+        # the induced square-invariant field keeps the configuration: at a
+        # common zero p, det D(u*f, v*g)(p) = u(p)*v(p)*det D(f, g)(p), and
+        # both line factors u, v are negative inside the square, so the
         # Jacobian determinant signs (hence the index pattern) survive
         induced = dynamics.singularities_in_delta(VectorField(f, g))
         ok = ok and len(induced.points) == 4

@@ -34,13 +34,13 @@ def test_build_perturbation_rejects_an_alpha_no_term_names(alpha):
 
 
 def test_build_perturbation_reduces_to_base():
-    setup = p7_setup()
+    setup, base = p7_setup(), p7_base()
     zeros = {s: Fraction(0) for s in setup.lambda_symbols}
     zeros[setup.alpha_symbol] = Fraction(0)
     bound_f = setup.field.f.evaluate(zeros)
     bound_g = setup.field.g.evaluate(zeros)
-    assert bound_f == setup.base.f.with_variables(bound_f.variables)
-    assert bound_g == setup.base.g.with_variables(bound_g.variables)
+    assert bound_f == base.f.with_variables(bound_f.variables)
+    assert bound_g == base.g.with_variables(bound_g.variables)
 
 
 def test_ratfunc_reduces_common_factors():

@@ -152,9 +152,16 @@ TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "
     (SIM + START + TMAX + ["--samples", str(cli.MAX_SAMPLES + 1)], "--samples"),
     (["bifurcate", "--setup", TERM + '"mu", "(4*x^2-1)*y"]]}'], "symbol 'mu'"),
     (["bifurcate", "--setup", TERM + '"x", "(4*x^2-1)*y"]]}'], "symbol 'x'"),
+    (["lyap", "--family", "P4", "--N", str(cli.MAX_N + 1)], "--N"),
+    (["singular", "--family", "P5", "--bind=a20=1e2000,a11=-2,a02=-2,b20=-2,b11=-2,b02=0"],
+     "'a20'"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
-    code, out, err = run(capsys, *_with_files(argv, tmp_path))
+    argv = _with_files(argv, tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    # each is refused at the boundary, before any work is done
+    assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
@@ -543,7 +550,7 @@ PARAMETERS = {"P4": ["a11", "a02", "b20", "b11"], "P5": ["a20", "a11", "a02", "b
               "P7": ["mu"], "P8": ["mu"], "P9": ["mu", "alpha", "lam"], "file": ["mu"]}
 NAMES = ["a11", "mu", "alpha", "x", "zz", ""]
 NUMBERS = ["0", "1", "-2", "1/3", "-3/4", "1/100"]
-BAD_NUMBERS = ["1/0", "0.5", "nan", "abc", ""]
+BAD_NUMBERS = ["1/0", "0.5", "nan", "abc", "", "7" * 400]
 POLYS = ["y", "-x", "x*y - 1/3", "y + mu*x*y", "-x + x^2 + mu*y^2", "x^2 + sqrt(2)*y", "2"]
 BAD_POLYS = ["1/0", "(x", "zz*x", "", "x^70000", "x***y"]
 TERMS = ["(4*x^2-1)*y", "(4*x^2-1)*y^2", "(4*y^2-1)*x", "(4*y^2-1)*x*y", "-(4*x^2-1)*y"]
@@ -594,7 +601,7 @@ def _argv(draw):
     if command not in ("bifurcate", "game-build"):
         argv += family_args
     if command in ("lyap", "eliminate", "bifurcate") and draw(st.booleans()):
-        argv += ["--N", str(_pick(draw, [1, 2, 3], [0, -1]))]
+        argv += ["--N", str(_pick(draw, [1, 2, 3], [0, -1, cli.MAX_N + 1]))]
     if command == "center-certify":
         if draw(st.booleans()):
             labels = sorted(fields.P4_CONDITIONS) + sorted(fields.P5_CONDITIONS)

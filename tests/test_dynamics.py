@@ -1,4 +1,4 @@
-"""Certified singular points, configurations, and contact points."""
+"""Certified singular points and four-point configurations."""
 
 import random
 from fractions import Fraction
@@ -286,19 +286,12 @@ def test_delta_filter():
         Fraction(1, 4), Fraction(-1, 4)}
 
 
-def test_index_lemma():
-    f, g = _pair("x^2 - y^2", "x^2 + y^2 - 2")
-    u, v = _pair("4*x^2 - 1", "4*y^2 - 1")
-    out = dynamics.index_lemma_check(f, g, u, v, (Fraction(1), Fraction(1)))
-    assert out["holds"] and out["lhs"] == out["rhs"]
-
-
 def test_berlinskii_four_point_configurations():
     f, g = _pair("x^2 - y^2", "x^2 + y^2 - 2")
     rep = dynamics.pair_report(f, g)
     res = dynamics.berlinskii_check(rep)
     assert res.configuration == "convex_alternating"
-    assert dynamics.index_sum(rep) == 0
+    assert sum(p.index for p in rep.points) == 0
 
 
 def test_berlinskii_not_applicable():
@@ -351,27 +344,3 @@ def test_berlinskii_leaves_the_report_enclosures_alone():
     assert dynamics.berlinskii_check(rep).configuration == "convex_alternating"
     assert rep.to_json() == fresh
 
-
-def test_contact_points_on_transversal_line():
-    # symmetric center family at the slice y = 0
-    fld = VectorField(parse_poly("x*y", ("x", "y")),
-                      parse_poly("1 - 16*x^2", ("x", "y")))
-    pts = dynamics.contact_points(fld, (0, 1, 0))  # the line y = 0
-    xs = sorted(p.x for p in pts)
-    assert xs == [Fraction(-1, 4), Fraction(1, 4)]
-    assert all(p.simple for p in pts)
-
-
-def test_contact_points_reject_invariant_line():
-    fld = VectorField(parse_poly("y", ("x", "y")),
-                      parse_poly("x", ("x", "y")))
-    # x = 1/2 is a branch of the invariant square
-    with pytest.raises(ValueError):
-        dynamics.contact_points(fld, (2, 0, -1))
-
-
-def test_contact_points_reject_degenerate_line():
-    fld = VectorField(parse_poly("y", ("x", "y")),
-                      parse_poly("x", ("x", "y")))
-    with pytest.raises(ValueError):
-        dynamics.contact_points(fld, (0, 0, 1))

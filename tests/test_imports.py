@@ -1,6 +1,6 @@
 """numpy and scipy stay out of every process, the layers the benchmark
-tracer wraps exist, every definition in src/ has a caller and every field
-a reader.
+tracer wraps exist, every definition in src/ has a caller, every entry
+point backs an acceptance criterion and every field has a reader.
 
 The program imports neither: the integrator runs on Python floats, so
 symbolic commands, trajectories and return maps load no numeric module.
@@ -20,13 +20,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 TRACER = SRC.parent / "perfbench" / "tracer.py"
 README = SRC.parent / "README.md"
-# library entry points that tests and the acceptance criteria call and no
-# CLI command reaches
-ENTRY_POINTS = ("index_lemma_check", "index_sum", "contact_points", "focus_stability",
-                "displacement_sign_changes", "verify", "is_polynomial")
-# fields of entry-point results that only tests read
-ENTRY_POINT_FIELDS = ("PerturbationSetup.base", "ContactPoint.location", "ContactPoint.x",
-                      "ContactPoint.simple")
+ACCEPTANCE = SRC.parent / "tests" / "test_acceptance.py"
+# library entry points that no CLI command reaches; each backs an acceptance
+# criterion
+ENTRY_POINTS = ("displacement_sign_changes", "verify", "is_polynomial")
 NUMERIC = ("numpy", "scipy")
 
 # fast symbolic commands, one per kind of exact work
@@ -188,11 +185,17 @@ def test_every_definition_has_a_caller():
     assert unused == []
 
 
+def test_every_entry_point_backs_a_criterion():
+    """An entry point that no command reaches stays only while an acceptance
+    criterion calls it, so a test-only entry point cannot come back."""
+    named = set(re.findall(r"\w+", ACCEPTANCE.read_text()))
+    assert [name for name in ENTRY_POINTS if name not in named] == []
+
+
 def test_every_field_has_a_reader():
     """Each annotated field of a src/ class appears as `.name` somewhere in
-    src/, the benchmark tracer or the README, apart from the entry-point
-    results that only tests read.  The match is by name and an assignment
-    counts, so this finds the fields nothing ever names."""
+    src/, the benchmark tracer or the README.  The match is by name and an
+    assignment counts, so this finds the fields nothing ever names."""
     texts = [path.read_text() for path in sorted(SRC.rglob("*.py"))]
     read = set(re.findall(r"\.(\w+)", "\n".join(
         texts + [TRACER.read_text(), README.read_text()])))
@@ -202,5 +205,5 @@ def test_every_field_has_a_reader():
         if isinstance(node, ast.ClassDef)
         for d in node.body
         if isinstance(d, ast.AnnAssign) and isinstance(d.target, ast.Name)
-        and d.target.id not in read and f"{node.name}.{d.target.id}" not in ENTRY_POINT_FIELDS)
+        and d.target.id not in read)
     assert unread == []

@@ -14,11 +14,10 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .fields import GameModel, VectorField, build_from_game
+from .fields import VectorField, build_from_game
 from .poly import MultiPoly, format_poly, parse_poly
 
 __all__ = [
-    "GameModel",
     "MultiPoly",
     "VectorField",
     "build_from_game",

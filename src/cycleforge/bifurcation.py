@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fields import VectorField, square_factors
+from .fields import VectorField, p7_base, p8_base, square_factors
 from .linalg import ExactMatrix, echelon
 from .lyapunov import linear_parts_in, lyapunov_quantities, normalize_at
 from .poly import MultiPoly, format_poly, parse_poly
@@ -56,9 +56,7 @@ class RatFunc:
         return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
 
-def ratfunc(num: MultiPoly, den: Optional[MultiPoly] = None) -> RatFunc:
-    if den is None:
-        den = MultiPoly.const(1, num.variables)
+def ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
     num, den = MultiPoly._align(num, den)
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
@@ -91,8 +89,8 @@ class PerturbationSetup:
 
     field: VectorField
     lambda_symbols: tuple
-    alpha_symbol: str = "alpha"
-    point: tuple = (Fraction(0), Fraction(0))
+    alpha_symbol: str
+    point: tuple
 
 
 def build_perturbation(
@@ -161,8 +159,6 @@ def build_perturbation(
 
 
 def p7_setup() -> PerturbationSetup:
-    from .fields import p7_base
-
     return build_perturbation(
         p7_base(),
         [
@@ -175,8 +171,6 @@ def p7_setup() -> PerturbationSetup:
 
 
 def p8_setup() -> PerturbationSetup:
-    from .fields import p8_base
-
     return build_perturbation(
         p8_base(),
         [
@@ -230,8 +224,6 @@ class GGTReport:
     mu0: Optional[RootLocation] = None
     candidates: list = field(default_factory=list)
     verdict: tuple = ()
-    linear_matrix: list = field(default_factory=list)
-    quantities: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         def loc(r):
@@ -299,8 +291,7 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     if N is None:
         N = max(p + 1, 3)
     rep = _quantities_at_point(setup, {}, N, jet=(setup.lambda_symbols, 1))
-    report.quantities = rep.quantities
-    A = report.linear_matrix = linear_parts_in(rep, setup.lambda_symbols)
+    A = linear_parts_in(rep, setup.lambda_symbols)
     rest_vars = A[0][0].variables if A else ()
     k = report.k = len(echelon(ExactMatrix(A))[2])
     if k == 0:
@@ -413,14 +404,14 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     return report
 
 
-def hopf_order_one(setup: PerturbationSetup, mu_binding: Optional[dict] = None) -> str:
+def hopf_order_one(setup: PerturbationSetup, mu_binding: dict) -> str:
     """Classical one-cycle criterion: nonvanishing first quantity.
 
     Binds the given parameters (alpha is 0 unless given) and evaluates L_1
     at setup.point; "one_cycle" when it is nonzero as a polynomial in
     whatever symbols remain, else "none".
     """
-    rep = _quantities_at_point(setup, mu_binding or {}, 1)
+    rep = _quantities_at_point(setup, mu_binding, 1)
     return "none" if rep.quantities[0].is_zero() else "one_cycle"
 
 

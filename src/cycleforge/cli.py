@@ -111,6 +111,15 @@ def _read_json_object(path: str) -> dict:
     return data
 
 
+def _field_from_json(data) -> fields.VectorField:
+    """The field of a JSON object {f, g, variables}; variables default to x, y."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a field must be a JSON object {{f, g, variables}}, "
+                        f"got {type(data).__name__}")
+    vs = tuple(data.get("variables") or ("x", "y"))
+    return fields.VectorField(parse_poly(data["f"], vs), parse_poly(data["g"], vs))
+
+
 def _load_family(args) -> fields.VectorField:
     if getattr(args, "family", None):
         if args.family not in FAMILIES:
@@ -120,12 +129,8 @@ def _load_family(args) -> fields.VectorField:
             )
         return FAMILIES[args.family]()
     if getattr(args, "file", None):
-        data = _read_json_object(args.file)
         try:
-            vs = tuple(data.get("variables") or ("x", "y"))
-            return fields.VectorField(
-                parse_poly(data["f"], vs), parse_poly(data["g"], vs)
-            )
+            return _field_from_json(_read_json_object(args.file))
         except (KeyError, TypeError, PolyParseError, ValueError) as e:
             raise InputError(f"{args.file}: {e}")
     raise InputError("need --family or --file")
@@ -233,11 +238,7 @@ def _cmd_eliminate(args) -> int:
 def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
     data = _read_json_object(path)
     try:
-        base_data = data["base"]
-        vs = tuple(base_data.get("variables") or ("x", "y"))
-        base = fields.VectorField(
-            parse_poly(base_data["f"], vs), parse_poly(base_data["g"], vs)
-        )
+        base = _field_from_json(data["base"])
         terms = [tuple(t) for t in data["terms"]]
         point = data.get("point", [0, 0])
         if not (isinstance(point, list) and len(point) == 2):
@@ -335,10 +336,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_game_build(args) -> int:
     data = _read_json_object(args.file)
     try:
-        model = fields.GameModel.from_json(data)
+        fld = fields.build_from_game(data["A"], data["B"])
     except (KeyError, TypeError, PolyParseError, ValueError) as e:
         raise InputError(f"{args.file}: {e}")
-    fld = fields.build_from_game(model)
     _emit_json(fld.to_json(), args.out)
     return 0
 

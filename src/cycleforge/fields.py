@@ -33,10 +33,6 @@ def square_factors(variables: Sequence[str]) -> tuple:
     return 4 * x**2 - 1, 4 * y**2 - 1
 
 
-def _xy_degree(p: MultiPoly) -> int:
-    return max(p.graded(XY), default=0)
-
-
 @dataclass
 class VectorField:
     """P = (4x^2-1)*f, Q = (4y^2-1)*g; the factored form is kept exact."""
@@ -45,8 +41,6 @@ class VectorField:
     g: MultiPoly
     P: MultiPoly = field(init=False)
     Q: MultiPoly = field(init=False)
-    d: int = field(init=False)
-    klass: str = field(init=False)
 
     def __post_init__(self):
         f, g = MultiPoly._align(self.f, self.g)
@@ -56,10 +50,6 @@ class VectorField:
         sq_x, sq_y = square_factors(f.variables)
         self.P = sq_x * f
         self.Q = sq_y * g
-        self.d = max(_xy_degree(f), _xy_degree(g))
-        ad0 = (self.d, 0) in f.collect(XY)
-        b0d = (0, self.d) in g.collect(XY)
-        self.klass = "X_d" if (ad0 or b0d) else "X_d0"
 
     @property
     def variables(self) -> tuple:
@@ -80,13 +70,17 @@ class VectorField:
         return all(d % 2 == 0 for p in (self.P, self.Q) for d in p.graded(XY))
 
     def to_json(self) -> dict:
+        """The field with its degree d in (x, y) and its class: X_d0 when
+        a_{d,0} = b_{0,d} = 0, else X_d."""
+        fc, gc = self.f.collect(XY), self.g.collect(XY)
+        d = max((sum(e) for e in (*fc, *gc)), default=0)
         return {
             "f": format_poly(self.f),
             "g": format_poly(self.g),
             "P": format_poly(self.P),
             "Q": format_poly(self.Q),
-            "degree": self.d,
-            "class": self.klass,
+            "degree": d,
+            "class": "X_d" if (d, 0) in fc or (0, d) in gc else "X_d0",
         }
 
 
@@ -194,59 +188,22 @@ def apply_condition(base: VectorField, condition: Mapping) -> VectorField:
 # -- game model reduction --------------------------------------------------------
 
 
-@dataclass
-class GameModel:
-    """Two-player payoff matrices; entries are polynomials in the mixed
-    strategy weights (x, y), constants allowed."""
+def build_from_game(A: Sequence, B: Sequence) -> VectorField:
+    """Reduce the two-strategy replicator dynamics of the 2x2 payoff
+    matrices A and B to a square-invariant field.
 
-    payoff_A: list  # 2x2 of MultiPoly
-    payoff_B: list
-
-    def __post_init__(self):
-        for M in (self.payoff_A, self.payoff_B):
-            if len(M) != 2 or any(len(row) != 2 for row in M):
-                raise ValueError("payoff matrices must be 2x2")
-
-    @staticmethod
-    def from_json(data: dict) -> "GameModel":
-        def conv(M):
-            return [
-                [
-                    e if isinstance(e, MultiPoly) else parse_poly(str(e), ("x", "y"))
-                    for e in row
-                ]
-                for row in M
-            ]
-
-        return GameModel(payoff_A=conv(data["A"]), payoff_B=conv(data["B"]))
-
-
-def build_from_game(model: GameModel) -> VectorField:
-    """Reduce the two-strategy replicator dynamics to a square-invariant
-    field.
-
-    On the unit square the dynamics is x' = x(x-1)*f*(x,y),
+    Entries are numbers or polynomial strings in the mixed-strategy
+    weights (x, y).  On the unit square the dynamics is x' = x(x-1)*f*(x,y),
     y' = y(y-1)*g*(x,y) with f* and g* the payoff combinations; centering
     the square at the origin and rescaling time by 4 gives
     P = (4x^2-1)*f, Q = (4y^2-1)*g exactly.
     """
-    A, B = model.payoff_A, model.payoff_B
-    variables = A[0][0].variables if A[0][0].variables else ("x", "y")
-    if "x" not in variables or "y" not in variables:
-        variables = ("x", "y") + tuple(
-            v for v in variables if v not in ("x", "y")
-        )
-    def lift(p):
-        return p.with_variables(variables)
-
-    xv = MultiPoly.var("x", variables)
-    yv = MultiPoly.var("y", variables)
-    f_star = lift(A[1][1]) - lift(A[0][1]) + (
-        lift(A[0][1]) + lift(A[1][0]) - lift(A[0][0]) - lift(A[1][1])
-    ) * yv
-    g_star = lift(B[1][1]) - lift(B[0][1]) + (
-        lift(B[0][1]) + lift(B[1][0]) - lift(B[0][0]) - lift(B[1][1])
-    ) * xv
+    A, B = ([[parse_poly(str(e), XY) for e in row] for row in M] for M in (A, B))
+    if any(len(M) != 2 or any(len(row) != 2 for row in M) for M in (A, B)):
+        raise ValueError("payoff matrices must be 2x2")
+    xv, yv = MultiPoly.var("x", XY), MultiPoly.var("y", XY)
+    f_star = A[1][1] - A[0][1] + (A[0][1] + A[1][0] - A[0][0] - A[1][1]) * yv
+    g_star = B[1][1] - B[0][1] + (B[0][1] + B[1][0] - B[0][0] - B[1][1]) * xv
     half = Fraction(1, 2)
     shift = {"x": xv + half, "y": yv + half}
     return VectorField(f_star.substitute(shift), g_star.substitute(shift))

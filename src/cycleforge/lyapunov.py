@@ -13,7 +13,8 @@ P the degree-k part of F H_x + G H_y with F, G the nonlinear terms of the
 field, in two sweeps: with c_i the coefficient of x^i y^(k-i), the equation
 there is (k-i+1) c_(i-1) - (i+1) c_(i+1) + P_i = L [i = k].  The odd c_i
 run forward from c_(-1) = 0, and at even k the last equation gives L; the
-even c_i run from the pinned one at even k, else back from c_(k+1) = 0.
+even c_i run back from c_(k+1) = 0, or at even k from the pinned c_k = 0:
+even degrees pin the x^k coefficient.
 Each P_i is summed from the stored degrees when its sweep reaches it.
 The circle mean of (x d/dy - y d/dx) h is zero, so L_N = sum of
 (i-1)!! (j-1)!! / (k-1)!! P_ij over even i, j at k = 2N+2.  At odd
@@ -128,13 +129,12 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
 @dataclass
 class LyapunovReport:
     quantities: list  # L_1 .. L_N as MultiPoly in the parameters
-    pinned: str  # which series coefficient is set to zero at even degrees
     parameters: tuple
 
     def to_json(self) -> dict:
         return {
             "quantities": [format_poly(L) for L in self.quantities],
-            "pinned": self.pinned,
+            "pinned": "ck0",  # the x^k coefficient is zero at even degrees k
             "parameters": list(self.parameters),
         }
 
@@ -145,7 +145,7 @@ def _circle_weight(i: int, j: int) -> Fraction:
                     prod(range(i + j - 1, 0, -2)))
 
 
-def _sweep(k: int, coeff, pin: str, zero: MultiPoly):
+def _sweep(k: int, coeff, zero: MultiPoly):
     """Yield (i, c_i) of the h solving (x d/dy - y d/dx) h + P = L x^k, chain
     by chain; coeff(i) gives P_i and is asked for once, when its chain needs
     it.  At even k, (None, L) follows the first chain."""
@@ -155,32 +155,25 @@ def _sweep(k: int, coeff, pin: str, zero: MultiPoly):
         yield i + 1, c
     if k % 2 == 0:
         yield None, c + coeff(k)
-    c = zero  # even c_i: on from a pinned c_0, or back from c_(k+1) or c_k = 0
-    if k % 2 == 0 and pin == "c0k":
-        for i in range(1, k, 2):
-            c = (c * (k - i + 1) + coeff(i)) / (i + 1)
-            yield i + 1, c
-    else:
-        for i in range(k - 1 + k % 2, 0, -2):
-            c = (c * (i + 1) - coeff(i)) / (k - i + 1)
-            yield i - 1, c
+    c = zero  # even c_i back from c_(k+1) = 0, or from the pinned c_k = 0
+    for i in range(k - 1 + k % 2, 0, -2):
+        c = (c * (i + 1) - coeff(i)) / (k - i + 1)
+        yield i - 1, c
 
 
 def lyapunov_quantities(
     p: MultiPoly,
     q: MultiPoly,
     count: int,
-    pin: str = "ck0",
     jet: Optional[tuple] = None,
     quantity_scale: Fraction = Fraction(1),
 ) -> LyapunovReport:
     """First `count` focus quantities of a field with linear part (-y, x).
 
     p and q are polynomials in x, y and parameter symbols, with exact
-    linear parts -y and x.  `pin` selects which series coefficient is set
-    to zero at each even degree k ("c0k" pins the y^k coefficient, "ck0"
-    the x^k one); the choice shifts later quantities by multiples of
-    earlier ones but never changes which are zero.
+    linear parts -y and x.  At each even degree k the x^k coefficient of
+    the series is pinned to zero; another pin would shift later quantities
+    by multiples of earlier ones but never change which are zero.
 
     `jet` = (symbols, order) truncates every intermediate product to total
     degree <= order in the given symbols.  With order 1 this computes the
@@ -189,8 +182,6 @@ def lyapunov_quantities(
 
     `quantity_scale` divides L_k by scale**k (see NormalizedField).
     """
-    if pin not in ("c0k", "ck0"):
-        raise ValueError("pin must be 'c0k' or 'ck0'")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     p, q = MultiPoly._align(p, q)
@@ -241,8 +232,8 @@ def lyapunov_quantities(
     # c_K = T P_K, so P_K,j weighs psi_j = sum_i T_ij omega_i with omega_i the
     # weight of c_K,i, which reaches L_N through degree K + 1 only (psi unread)
     omega = [weight(K, i, K - i) for i in range(K + 1)]
-    psi = [sum((omega[i] * t for i, t in _sweep(K, lambda i: Fraction(i == j), pin,
-                                                Fraction(0)) if t), zero)
+    psi = [sum((omega[i] * t for i, t in _sweep(K, lambda i: Fraction(i == j), Fraction(0))
+                if t), zero)
            for j in range(K + 1)]
 
     quantities: list = []
@@ -250,7 +241,7 @@ def lyapunov_quantities(
     L_top = sum((weight(2, i, 2 - i) for i in (0, 2) if count and K - top < 2), zero)
     for k in range(3, K):
         series[k] = h = {}  # stays empty at 2N, which only L_N reads
-        for i, c in _sweep(k, lambda i: coeff(k, i), pin, zero):
+        for i, c in _sweep(k, lambda i: coeff(k, i), zero):
             if i is None:
                 quantities.append(c)
             elif c:
@@ -264,7 +255,7 @@ def lyapunov_quantities(
     if quantity_scale != 1:
         quantities = [L * (Fraction(1) / quantity_scale ** n)
                       for n, L in enumerate(quantities, start=1)]
-    return LyapunovReport(quantities=quantities, pinned=pin, parameters=params)
+    return LyapunovReport(quantities=quantities, parameters=params)
 
 
 def linear_parts_in(report: LyapunovReport, symbols: Sequence[str]) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .poly import MultiPoly, format_poly
@@ -291,8 +291,8 @@ class EliminationTrace:
     common_factors: List[tuple]  # (MultiPoly, multiplicity)
     factors: List[List[tuple]]  # per resultant
     remainders: List[MultiPoly]
-    branch_condition: Optional[MultiPoly] = None
-    identically_zero: List[int] = field(default_factory=list)
+    branch_condition: Optional[MultiPoly]
+    identically_zero: List[int]
 
     def verify(self) -> bool:
         for r, fs, rem in zip(self.resultants, self.factors, self.remainders):

@@ -115,16 +115,6 @@ def variations_at(chain: list, x: Fraction) -> int:
     return _variations([scalar_sign(horner(c, x)) for c in chain])
 
 
-def variations_at_infinity(chain: list, positive: bool) -> int:
-    signs = []
-    for c in chain:
-        s = scalar_sign(c[-1])
-        if not positive and deg(c) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def root_count_interval(chain: list, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi] for a square-free chain."""
     return variations_at(chain, lo) - variations_at(chain, hi)
@@ -137,13 +127,9 @@ def _abs_upper(c) -> Fraction:
 
 
 def _abs_lower(c) -> Fraction:
-    if isinstance(c, QuadExt):
-        s = c.sign()
-        if s == 0:
-            return Fraction(0)
+    if isinstance(c, QuadExt):  # nonzero: the leading coefficient
         # |c| = |norm(c)| / |conj(c)| >= |norm| / upper(|conj|)
-        n = abs(c.norm())
-        return n / _abs_upper(c.conjugate())
+        return abs(c.norm()) / _abs_upper(c.conjugate())
     return abs(Fraction(c))
 
 
@@ -284,26 +270,26 @@ def _squarefree_real_roots(sf: list) -> List[RootLocation]:
 
 
 def _isolate_irrational(sf: list) -> List[IsolatingInterval]:
-    """Isolate the (all irrational) real roots of a square-free polynomial."""
+    """Isolate the (all irrational) real roots of a square-free polynomial,
+    left to right, by bisecting (lo, hi, root count) from a stack with the
+    left half on top: wide coefficients need many halvings, not deep calls."""
     chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
-    total = variations_at_infinity(chain, False) - variations_at_infinity(chain, True)
+    bound = cauchy_bound(sf)  # every root lies in (-bound, bound)
+    total = variations_at(chain, -bound) - variations_at(chain, bound)
     out: List[IsolatingInterval] = []
-
-    def rec(lo: Fraction, hi: Fraction, n: int):
+    stack = [(-bound, bound, total)]
+    while stack:
+        lo, hi, n = stack.pop()
         if n == 0:
-            return
+            continue
         if n == 1:
             slo, shi = scalar_sign(horner(sf, lo)), scalar_sign(horner(sf, hi))
             if slo != 0 and shi != 0 and slo != shi:
                 out.append(IsolatingInterval(lo, hi, (slo, shi), tuple(sf)))
-                return
+                continue
         mid = (lo + hi) / 2
         nl = variations_at(chain, lo) - variations_at(chain, mid)
-        rec(lo, mid, nl)
-        rec(mid, hi, n - nl)
-
-    rec(-bound, bound, total)
+        stack += [(mid, hi, n - nl), (lo, mid, nl)]
     assert len(out) == total, "isolation failed to separate all roots"
     return out
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cycleforge.bifurcation import (
+    _quantities_at_point,
     build_perturbation,
     ggt_analyze,
     hopf_order_one,
@@ -16,7 +17,16 @@ from cycleforge.bifurcation import (
     ratfunc,
 )
 from cycleforge.fields import VectorField, p7_base
+from cycleforge.lyapunov import linear_parts_in
 from cycleforge.poly import parse_poly
+
+
+def _linear_matrix(setup):
+    """The matrix A that ggt_analyze ranks: the linear parts in Lambda of
+    its default N = max(p + 1, 3) quantities around setup.point."""
+    lam = setup.lambda_symbols
+    rep = _quantities_at_point(setup, {}, max(len(lam) + 1, 3), jet=(lam, 1))
+    return linear_parts_in(rep, lam)
 
 
 def test_build_perturbation_rejects_line_breaking_terms():
@@ -53,8 +63,8 @@ def test_ratfunc_reduces_common_factors():
 
 
 def test_rank_matches_random_specialization():
-    rep = ggt_analyze(p8_setup())
-    A = rep.linear_matrix
+    setup = p8_setup()
+    rep, A = ggt_analyze(setup), _linear_matrix(setup)
     rng = random.Random(5)
     for _ in range(3):
         mu = Fraction(rng.randint(3, 40), rng.randint(1, 7))
@@ -145,11 +155,12 @@ def _sym(sympy, p):
 
 def test_p8_reparametrization_matches_sympy_inverse_and_kernel():
     sympy = pytest.importorskip("sympy")
-    rep = ggt_analyze(p8_setup())
+    setup = p8_setup()
+    rep = ggt_analyze(setup)
     k = rep.k
     assert k == 4
     B = sympy.Matrix([[_sym(sympy, e) for e in row]
-                      for row in rep.linear_matrix[: k - 1]])
+                      for row in _linear_matrix(setup)[: k - 1]])
     _, pivots = B.rref(simplify=True)
     inv = B[:, list(pivots)].inv()
     (kernel,) = B.nullspace(simplify=True)

@@ -155,6 +155,7 @@ TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "
     (["lyap", "--family", "P4", "--N", str(cli.MAX_N + 1)], "--N"),
     (["singular", "--family", "P5", "--bind=a20=1e2000,a11=-2,a02=-2,b20=-2,b11=-2,b02=0"],
      "'a20'"),
+    (["bifurcate", "--setup", 'json:{"base": [1], "terms": []}'], "got list"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = _with_files(argv, tmp_path)

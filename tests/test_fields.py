@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cycleforge import fields
-from cycleforge.fields import GameModel, VectorField, build_from_game
+from cycleforge.fields import VectorField, build_from_game
 from cycleforge.poly import format_poly, parse_poly
 
 
@@ -14,17 +14,17 @@ def test_factored_form_is_exact():
                       parse_poly("x - y", ("x", "y")))
     assert fld.P == parse_poly("(4*x^2 - 1)*(x + y)", ("x", "y"))
     assert fld.Q == parse_poly("(4*y^2 - 1)*(x - y)", ("x", "y"))
-    assert fld.d == 1
+    assert fld.to_json()["degree"] == 1
 
 
 def test_degree_class_split():
     # f has the extreme monomial x^d -> full class
     full = VectorField(parse_poly("x^2 + y", ("x", "y")),
                        parse_poly("x", ("x", "y")))
-    assert full.klass == "X_d"
+    assert full.to_json()["class"] == "X_d"
     sub = VectorField(parse_poly("x*y + y", ("x", "y")),
                       parse_poly("x + x*y", ("x", "y")))
-    assert sub.klass == "X_d0"
+    assert sub.to_json()["class"] == "X_d0"
 
 
 def test_bind_substitutes_parameters():
@@ -65,16 +65,15 @@ def test_apply_condition_swaps_parameters_at_once():
 
 
 def test_game_model_reduction():
-    model = GameModel.from_json({"A": [[0, 0], [1, -1]], "B": [[0, 1], [1, 0]]})
-    fld = build_from_game(model)
-    assert fld.klass == "X_d0"
+    fld = build_from_game([[0, 0], [1, -1]], [[0, 1], [1, 0]])
+    assert fld.to_json()["class"] == "X_d0"
     assert format_poly(fld.f) == "2*y"
     assert format_poly(fld.g) == "2*x"
 
 
 def test_game_model_shape_checked():
     with pytest.raises(ValueError):
-        GameModel.from_json({"A": [[0, 0]], "B": [[0, 0], [0, 0]]})
+        build_from_game([[0, 0]], [[0, 0], [0, 0]])
 
 
 def test_field_requires_xy():

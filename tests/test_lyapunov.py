@@ -1,4 +1,4 @@
-"""Focus quantities: oracles, pinning independence, and normalization."""
+"""Focus quantities: oracles, the top-degree path, and normalization."""
 
 import random
 import tracemalloc
@@ -42,25 +42,6 @@ def test_known_quadratic_oracle():
             "a11": Fraction(a11), "a02": Fraction(a02),
             "b20": Fraction(b20), "b11": Fraction(b11)})
         assert v == Fraction(2, 3) * (a11 * a02 - b20 * b11)
-
-
-def test_pinning_choice_does_not_move_zero_set():
-    fam = fields.p4_family()
-    rep_a = lyapunov_quantities(fam.P, fam.Q, 3, pin="ck0")
-    rep_b = lyapunov_quantities(fam.P, fam.Q, 3, pin="c0k")
-    # the first quantity is pinning-independent
-    assert rep_a.quantities[0] == rep_b.quantities[0]
-    # later quantities may differ, but the index and sign of the first
-    # nonzero one agree at concrete parameter points
-    def first_nonzero(rep, at):
-        values = [L.eval_scalar(at) for L in rep.quantities]
-        return next(((i, v > 0) for i, v in enumerate(values, start=1) if v), None)
-
-    for b in ({"a11": 1, "a02": 1, "b20": 0, "b11": 0},
-              {"a11": 1, "a02": 0, "b20": 0, "b11": 1},
-              {"a11": 2, "a02": 1, "b20": 1, "b11": 2}):
-        bb = {k: Fraction(v) for k, v in b.items()}
-        assert first_nonzero(rep_a, bb) == first_nonzero(rep_b, bb)
 
 
 def test_rejects_wrong_linear_part():
@@ -116,15 +97,16 @@ def test_negative_count_is_rejected():
     assert lyapunov_quantities(fam.P, fam.Q, 0).quantities == []
 
 
-@pytest.mark.parametrize("family", [fields.p4_family, fields.p5_family])
-@pytest.mark.parametrize("pin", ["ck0", "c0k"])
-def test_top_degree_matches_interior_path(family, pin):
+# each id names the pin, the x^k coefficient at even degrees k
+@pytest.mark.parametrize("family", [fields.p4_family, fields.p5_family],
+                         ids=["ck0-p4_family", "ck0-p5_family"])
+def test_top_degree_matches_interior_path(family):
     # L_N comes from the fixed weights when N is the last quantity and
     # from the rotation sweep when a later one is asked for
     fam = family()
     for N in (1, 2, 3, 4) if family is fields.p4_family else (1, 2, 3):
-        last = lyapunov_quantities(fam.P, fam.Q, N, pin=pin).quantities
-        inner = lyapunov_quantities(fam.P, fam.Q, N + 1, pin=pin).quantities
+        last = lyapunov_quantities(fam.P, fam.Q, N).quantities
+        inner = lyapunov_quantities(fam.P, fam.Q, N + 1).quantities
         assert last == inner[:N]
 
 
@@ -146,7 +128,7 @@ def test_top_degree_matches_interior_path_over_quadratic_extension():
     assert any(isinstance(c, QuadExt) and c.b and c.d == 3
                for h in (nf.p, nf.q) for c in h.terms.values())
     for N in (1, 2, 3):
-        last, inner = (lyapunov_quantities(nf.p, nf.q, n, pin="c0k",
+        last, inner = (lyapunov_quantities(nf.p, nf.q, n,
                                            quantity_scale=nf.quantity_scale)
                        for n in (N, N + 1))
         assert last.quantities == inner.quantities[:N]

@@ -113,6 +113,17 @@ def test_real_roots_mixed_rational_irrational():
         assert iv.sign_change_certificate == (lo_sign, hi_sign)
 
 
+def test_real_roots_separates_roots_deeper_than_the_recursion_limit():
+    # (x^2 - 2)(x^2 - 2 - 2^-b): the two roots near sqrt(2) part only after
+    # about b halvings, more than Python's default recursion limit of 1000
+    # frames leaves to a recursive bisection under pytest
+    e = Fraction(1, 2**950)
+    out = real_roots([4 + 2 * e, 0, -4 - e, 0, Fraction(1)])
+    assert len(out) == 4 and all(isinstance(r, IsolatingInterval) for r in out)
+    assert all(a.hi <= b.lo for a, b in zip(out, out[1:]))
+    assert out[2].hi - out[2].lo < e
+
+
 def test_sturm_root_count():
     p = parse_poly("(x - 1)*(x - 3)*(x^2 + 1)")
     chain = sturm_chain(poly_to_coeffs(p, "x"))

@@ -3,6 +3,7 @@ vector fields with the invariant square (4x^2-1)(4y^2-1) = 0.
 
 Modules:
 - scalars, poly, linalg, roots: exact arithmetic foundations
+- polytext: the polynomial text format (printer and parser)
 - resultants: elimination, multivariate gcd, factor extraction
 - lyapunov: focus quantities and normalization
 - fields, centers: field families and center certificates

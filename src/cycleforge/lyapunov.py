@@ -19,9 +19,11 @@ Each P_i is summed from the stored degrees when its sweep reaches it.
 The circle mean of (x d/dy - y d/dx) h is zero, so L_N = sum of
 (i-1)!! (j-1)!! / (k-1)!! P_ij over even i, j at k = 2N+2.  At odd
 k = 2N+1 the sweep is a fixed rational map T of P, so its share of L_N is
-T^t applied to those circle weights: every coefficient of a degree that
-reaches 2N+1 or 2N+2 adds its product with a small fixed weight to L_N
-when solved, and degree 2N+1 is never swept nor degree 2N stored.
+T^t applied to those circle weights.  At N >= 2 the pinned sweep of
+k = 2N is a fixed map too, and L_(N-1) a fixed rational form of the same
+P.  So every coefficient of a degree that reaches 2N, 2N+1 or 2N+2 adds
+its products with small fixed weights to L_N and L_(N-1) when solved:
+degrees 2N and 2N+1 are never swept, and degree 2N-1 is never stored.
 """
 
 from __future__ import annotations
@@ -218,38 +220,64 @@ def lyapunov_quantities(
         return sum(terms, next(terms, zero))
 
     K = 2 * count + 1  # never swept: L_N is a fixed linear form in P_K
+    folds: dict = {}  # folded degree d: psi, with P_d,j weighing psi[j] in L_N
+
+    def through(vectors: dict, m: int, i: int, j: int) -> MultiPoly:
+        """Sum of w * vec[i + u] over the products w of c x^i y^j (degree m)
+        that land in P_d, for each d, vec in vectors."""
+        return sum((w * vec[i + u] for d, vec in vectors.items()
+                    for (u, v), f, g in offsets.get(d + 1 - m, ())
+                    if (w := factor(f, g, i, j)) and vec[i + u]), zero)
 
     def weight(m: int, i: int, j: int) -> MultiPoly:
-        """Weight of c x^i y^j of degree m in L_N: through P_K and psi, and
-        through the circle mean of its products at degree K + 1."""
-        s = K + 1 - m
-        ws = [w * psi[i + u] for (u, v), f, g in offsets.get(s, ())
-              if (w := factor(f, g, i, j))]
-        ws += [w * _circle_weight(i + u, j + v) for (u, v), f, g in offsets.get(s + 1, ())
-               if (i + u) % 2 == 0 and (w := factor(f, g, i, j))]
-        return trunc(sum(ws, zero))
+        """Weight of c x^i y^j of degree m in L_N: through each folded P_d,
+        and through the circle mean of its products at degree K + 1."""
+        ws = [w * _circle_weight(i + u, j + v) for (u, v), f, g in offsets.get(K + 2 - m, ())
+              if (i + u) % 2 == 0 and (w := factor(f, g, i, j))]
+        return trunc(sum(ws, through(folds, m, i, j)))
 
-    # c_K = T P_K, so P_K,j weighs psi_j = sum_i T_ij omega_i with omega_i the
-    # weight of c_K,i, which reaches L_N through degree K + 1 only (psi unread)
-    omega = [weight(K, i, K - i) for i in range(K + 1)]
-    psi = [sum((omega[i] * t for i, t in _sweep(K, lambda i: Fraction(i == j), Fraction(0))
-                if t), zero)
-           for j in range(K + 1)]
+    # c_d = T P_d, so P_d,j weighs psi_j = sum_i T_ij omega_i with omega_i the
+    # weight of c_d,i.  At N >= 2 degree 2N folds too: its sweep also gives
+    # L_(N-1) = sum_j lam_j P_2N,j, with lam_j under None in column j.
+    lam = None
+    for d in (K, K - 1) if count >= 2 else (K,):
+        omega = [weight(d, i, d - i) for i in range(d + 1)]
+        cols = [dict(_sweep(d, lambda i: Fraction(i == j), Fraction(0)))
+                for j in range(d + 1)]
+        folds[d] = [sum((omega[i] * t for i, t in col.items() if i is not None and t), zero)
+                    for col in cols]
+        if d % 2 == 0:
+            lam = {d: [col[None] for col in cols]}
+    first = min(folds)  # the first degree not swept
 
     quantities: list = []
-    # L_N: h_2 = x^2 + y^2 and each coefficient of degree > K - top add to it
-    L_top = sum((weight(2, i, 2 - i) for i in (0, 2) if count and K - top < 2), zero)
-    for k in range(3, K):
-        series[k] = h = {}  # stays empty at 2N, which only L_N reads
+    L_top = L_prev = zero
+
+    def solved(k: int, i: int, c: MultiPoly) -> None:
+        """Add c x^i y^(k-i) to L_N, and to L_(N-1) when degree 2N folds."""
+        nonlocal L_top, L_prev
+        L_top += trunc(c * weight(k, i, k - i))
+        if lam:
+            L_prev += trunc(c * through(lam, k, i, k - i))
+
+    # h_2 = x^2 + y^2 and each coefficient of degree > first - top reach a
+    # folded degree or the circle mean at K + 1
+    if count and first - top < 2:
+        for i in (0, 2):
+            solved(2, i, one)
+    for k in range(3, first):
+        series[k] = h = {}  # stays empty at first - 1, which only the weights read
         for i, c in _sweep(k, lambda i: coeff(k, i), zero):
             if i is None:
                 quantities.append(c)
             elif c:
-                if k > K - top:
-                    L_top += trunc(c * weight(k, i, k - i))
-                if k < K - 1:
+                if k > first - top:
+                    solved(k, i, c)
+                if k < first - 1:
                     h[i, k - i] = c
         series.pop(k + 1 - top, None)  # no later degree reads it
+    if lam:
+        quantities.append(L_prev)
     if count:
         quantities.append(L_top)
     if quantity_scale != 1:

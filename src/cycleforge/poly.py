@@ -19,12 +19,11 @@ has degree -1.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .scalars import QuadExt, ScalarLike, as_fraction, format_scalar, inverse, is_zero
+from .scalars import QuadExt, ScalarLike, as_fraction, inverse, is_zero
 
 
 _W = 16  # bits per variable field of a monomial key
@@ -186,11 +185,12 @@ class MultiPoly:
         return tuple(v for v, s in zip(self.variables, _shifts(len(self.variables)))
                      if (used >> s) & _MAX_EXP)
 
-    def sorted_terms(self) -> list:
-        """Terms in descending graded-lex order."""
+    def sorted_terms(self) -> Iterator[tuple]:
+        """(exponent, coefficient) of each term in descending graded-lex
+        order, made one at a time."""
         n = len(self.variables)
-        return [(_unpack(k, n), self._scalar(self._c[k]))
-                for k in sorted(self._c, reverse=True)]
+        for k in sorted(self._c, reverse=True):
+            yield _unpack(k, n), self._scalar(self._c[k])
 
     def leading(self) -> tuple:
         """(exponent, coefficient) of the graded-lex leading term."""
@@ -573,194 +573,6 @@ class MultiPoly:
         return f"MultiPoly({self.variables!r}, {format_poly(self)!r})"
 
 
-# -- canonical printer --------------------------------------------------------
-
-
-def _term_str(variables, exp, coeff) -> str:
-    factors = []
-    for v, e in zip(variables, exp):
-        if e == 1:
-            factors.append(v)
-        elif e > 1:
-            factors.append(f"{v}^{e}")
-    cs = format_scalar(coeff)
-    if not factors:
-        return cs if ("+" not in cs[1:] and "-" not in cs[1:]) else f"({cs})"
-    if cs == "1":
-        return "*".join(factors)
-    if cs == "-1":
-        return "-" + "*".join(factors)
-    if "+" in cs[1:] or "-" in cs[1:]:
-        cs = f"({cs})"
-    return cs + "*" + "*".join(factors)
-
-
-def format_poly(p: MultiPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for exp, c in p.sorted_terms():
-        s = _term_str(p.variables, exp, c)
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append("-" + s[1:].strip())
-        else:
-            parts.append("+" + s)
-    out = parts[0]
-    for s in parts[1:]:
-        out += s[0] + s[1:]
-    return out
-
-
-# -- parser ---------------------------------------------------------------------
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
-
-
-class PolyParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (column {pos + 1})")
-        self.pos = pos
-
-
-class _Parser:
-    def __init__(self, text: str, variables):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise PolyParseError(f"bad character {text[pos]!r}", pos)
-                break
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
-            pos = m.end()
-        self.i = 0
-        self.variables = list(variables) if variables is not None else None
-        self.seen = []
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, val, pos = self.next()
-        if val != value:
-            raise PolyParseError(f"expected {value!r}, got {val!r}", pos)
-
-    def _var(self, name, pos):
-        if self.variables is not None and name not in self.variables:
-            raise PolyParseError(f"unknown variable {name!r}", pos)
-        if name not in self.seen:
-            self.seen.append(name)
-        return name
-
-    def parse(self) -> MultiPoly:
-        p = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise PolyParseError(f"unexpected {val!r}", pos)
-        return p
-
-    def expr(self):
-        kind, val, _ = self.peek()
-        sign = 1
-        while val in ("+", "-"):
-            self.next()
-            if val == "-":
-                sign = -sign
-            kind, val, _ = self.peek()
-        p = self.term() * sign
-        while True:
-            kind, val, _ = self.peek()
-            if val not in ("+", "-"):
-                return p
-            self.next()
-            q = self.term()
-            p = p + q if val == "+" else p - q
-
-    def term(self):
-        p = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if val == "*":
-                self.next()
-                p = p * self.factor()
-            elif val == "/":
-                self.next()
-                q = self.factor()
-                if not (isinstance(q, MultiPoly) and q.is_constant()):
-                    raise PolyParseError("can only divide by a constant", self.peek()[2])
-                if q.is_zero():
-                    raise PolyParseError("division by zero", pos)
-                p = p / q.constant_value()
-            else:
-                return p
-
-    def factor(self):
-        kind, val, pos = self.next()
-        if val == "-":
-            return -self.factor()
-        if val == "(":
-            p = self.expr()
-            self.expect(")")
-            return self._maybe_power(p)
-        if kind == "num":
-            return self._maybe_power(MultiPoly.const(Fraction(int(val))))
-        if kind == "name":
-            if val == "sqrt":
-                self.expect("(")
-                k2, v2, p2 = self.next()
-                if k2 != "num":
-                    raise PolyParseError("sqrt() needs an integer radicand", p2)
-                self.expect(")")
-                return self._maybe_power(
-                    MultiPoly.const(QuadExt(0, 1, int(v2)))
-                )
-            name = self._var(val, pos)
-            return self._maybe_power(MultiPoly.var(name))
-        raise PolyParseError(f"unexpected {val!r}", pos)
-
-    def _maybe_power(self, p):
-        kind, val, _ = self.peek()
-        if val == "^":
-            self.next()
-            k2, v2, p2 = self.next()
-            neg = False
-            if v2 == "-":
-                neg = True
-                k2, v2, p2 = self.next()
-            if k2 != "num":
-                raise PolyParseError("exponent must be an integer", p2)
-            if neg:
-                if not p.is_constant():
-                    raise PolyParseError("negative power of a non-constant", p2)
-                return MultiPoly.const(inverse(p.constant_value())) ** int(v2)
-            return p ** int(v2)
-        return p
-
-
-def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> MultiPoly:
-    """Parse the polynomial literal syntax, e.g. "2/3*a02*a11 - x^2".
-
-    With ``variables`` given, the result uses exactly that ordered variable
-    list (unknown names are rejected); otherwise variables are taken in
-    order of first appearance.
-    """
-    parser = _Parser(text, variables)
-    try:
-        p = parser.parse()
-    except RecursionError:  # the parser recurses once per nesting level
-        raise PolyParseError("expression nested too deeply", parser.peek()[2]) from None
-    target = tuple(variables) if variables is not None else tuple(parser.seen)
-    return p.with_variables(target)
-
+# the text format, kept in its own module; it reads MultiPoly, so it is
+# loaded last
+from .polytext import PolyParseError, format_poly, parse_poly

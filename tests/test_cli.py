@@ -156,6 +156,9 @@ TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "
     (["singular", "--family", "P5", "--bind=a20=1e2000,a11=-2,a02=-2,b20=-2,b11=-2,b02=0"],
      "'a20'"),
     (["bifurcate", "--setup", 'json:{"base": [1], "terms": []}'], "got list"),
+    (["game-build", "--file", "json:" + json.dumps(
+        {"A": [[0, 0], [0, 0]], "B": [[0, 0], ["x^2000", 0]]})],
+     f"B[1][0] has degree 2000 in x, y, over {cli.MAX_PAYOFF_DEGREE}"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = _with_files(argv, tmp_path)
@@ -360,6 +363,15 @@ def test_game_build(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["f"] == "2*y" and data["g"] == "2*x" and data["class"] == "X_d0"
+
+
+def test_game_build_takes_entries_up_to_the_degree_bound(tmp_path, capsys):
+    n = cli.MAX_PAYOFF_DEGREE
+    src = tmp_path / "game.json"
+    src.write_text(json.dumps({"A": [[f"x^{n}", 0], [0, 0]], "B": [[0, 0], [0, 0]]}))
+    code, out, err = run(capsys, "game-build", "--file", str(src))
+    assert code == 0 and err == ""
+    assert f"-x^{n}*y" in json.loads(out)["f"]
 
 
 def test_berlinskii_raw_pair(tmp_path, capsys):
@@ -650,7 +662,8 @@ def _argv(draw):
             entries = st.sampled_from([0, 1, -1, "1/4", "x", "y", "2*x - y"])
             rows = [[draw(entries), draw(entries)], [draw(entries), draw(entries)]]
             if _bad(draw):
-                rows[1][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_POLYS + JSON_JUNK))
+                rows[1][draw(st.integers(0, 1))] = draw(st.sampled_from(
+                    BAD_POLYS + JSON_JUNK + [f"x^{cli.MAX_PAYOFF_DEGREE + 1}"]))
             return rows[:1] if _bad(draw) else rows
         argv += ["--file", _json_arg({"A": matrix(), "B": matrix()})]
     if draw(st.booleans()):

@@ -1,6 +1,7 @@
 """numpy and scipy stay out of every process, the layers the benchmark
 tracer wraps exist, every definition in src/ has a caller, every entry
-point backs an acceptance criterion and every field has a reader.
+point backs an acceptance criterion, every field has a reader and no
+module is larger than its compile budget.
 
 The program imports neither: the integrator runs on Python floats, so
 symbolic commands, trajectories and return maps load no numeric module.
@@ -14,6 +15,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +27,12 @@ ACCEPTANCE = SRC.parent / "tests" / "test_acceptance.py"
 # criterion
 ENTRY_POINTS = ("displacement_sign_changes", "verify", "is_polynomial")
 NUMERIC = ("numpy", "scipy")
+# compile() of a module peaks at about 340 bytes per token (tracemalloc), and
+# the allocator keeps that memory for the life of the process.  Without a
+# bytecode cache every process compiles each module it imports, so the
+# largest module sets the memory floor of every command: poly.py at 6,960
+# tokens peaked at 2,355 KiB while compiling, almost twice any other module.
+MAX_MODULE_TOKENS = 5600
 
 # fast symbolic commands, one per kind of exact work
 SYMBOLIC = [
@@ -210,3 +218,12 @@ def test_every_field_has_a_reader():
         if isinstance(d, ast.AnnAssign) and isinstance(d.target, ast.Name)
         and d.target.id not in read)
     assert unread == []
+
+
+def test_no_module_exceeds_the_token_ceiling():
+    sizes = {}
+    for path in sorted((SRC / "cycleforge").glob("*.py")):
+        with path.open() as fh:
+            sizes[path.name] = sum(1 for _ in tokenize.generate_tokens(fh.readline))
+    assert sizes
+    assert {name: n for name, n in sizes.items() if n > MAX_MODULE_TOKENS} == {}

@@ -12,7 +12,7 @@ from cycleforge.lyapunov import (
     lyapunov_quantities,
     normalize_at,
 )
-from cycleforge.poly import MultiPoly, parse_poly
+from cycleforge.poly import MultiPoly, format_poly, parse_poly
 from cycleforge.scalars import QuadExt
 
 
@@ -104,7 +104,7 @@ def test_top_degree_matches_interior_path(family):
     # L_N comes from the fixed weights when N is the last quantity and
     # from the rotation sweep when a later one is asked for
     fam = family()
-    for N in (1, 2, 3, 4) if family is fields.p4_family else (1, 2, 3):
+    for N in (1, 2, 3, 4):
         last = lyapunov_quantities(fam.P, fam.Q, N).quantities
         inner = lyapunov_quantities(fam.P, fam.Q, N + 1).quantities
         assert last == inner[:N]
@@ -198,26 +198,57 @@ def test_quantities_match_sympy_with_cubic_and_quartic_terms():
             assert [L.constant_value() for L in ours] == theirs[:N]
 
 
-def _traced_peak(count: int) -> int:
-    fam = fields.p5_family()
+@pytest.mark.parametrize("degrees", [(2, 5), (2, 5, 6)])
+def test_quantities_match_sympy_with_quintic_and_sextic_terms(degrees):
+    # with terms up to degree top the fold of degree 2N reaches down to
+    # degree 2N + 1 - top, and takes x^2 + y^2 in when top >= 2N - 1, for
+    # L_N and L_(N-1) alike; with quintic terms at N = 3 only the fold of 2N
+    # reaches x^2 + y^2, not the fold of 2N + 1
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    mons = [(i, d - i) for d in degrees for i in range(d + 1)]
+    p, q, f, g = _random_field(sympy, rng, mons)
+    theirs = [Fraction(int(v.p), int(v.q)) for v in _sympy_quantities(sympy, f, g, 3)]
+    for N in (1, 2, 3):
+        ours = lyapunov_quantities(p, q, N).quantities
+        assert [L.constant_value() for L in ours] == theirs[:N]
+
+
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        lyapunov_quantities(fam.P, fam.Q, count)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _quantities_peak(count: int) -> int:
+    fam = fields.p5_family()
+    return _traced_peak(lambda: lyapunov_quantities(fam.P, fam.Q, count))
+
+
 def test_memory_of_four_quantities_stays_small():
-    # degrees 3..7 are stored while a later degree reads them, degrees 6..8
-    # add to L_4 with fixed weights as they are solved, degree 8 is never
-    # stored and degree 9 never swept: the traced heap peak is 0.49 MiB, and
-    # the bound fails a recursion that sweeps 9 and stores 8 (0.70 MiB)
-    assert _traced_peak(4) < 0.6 * 2**20
+    # degrees 3..6 are stored while a later degree reads them, degree 7 is
+    # never stored and degrees 8 and 9 are never swept: each coefficient of
+    # degree 7 adds to L_3 and L_4 with fixed weights as it is solved.  The
+    # traced heap peak is 444 KiB, and the bound fails a recursion that
+    # sweeps degree 8 and stores 7 (501 KiB)
+    assert _quantities_peak(4) < 0.46 * 2**20
 
 
 def test_memory_of_five_quantities_stays_small():
-    # degree 11 is never swept and degree 10 (8,418 terms) never stored: the
-    # traced heap peak is 1.55 MiB, and the bound fails a recursion that
-    # sweeps 11 and stores 10 (2.36 MiB)
-    assert _traced_peak(5) < 2 * 2**20
+    # degrees 10 and 11 are never swept and degree 9 never stored: the traced
+    # heap peak is 1.21 MiB, and the bound fails a recursion that sweeps 10
+    # (8,418 terms) and stores 9 (1.54 MiB)
+    assert _quantities_peak(5) < 1.4 * 2**20
+
+
+def test_printing_a_quantity_builds_no_term_list():
+    # L_5 of P5 has 2,378 terms and prints as 92,234 characters; the printer
+    # writes each term as it walks the sorted keys, at a traced peak of about
+    # 110 KiB, where building every (exponent, Fraction) pair first took
+    # 556 KiB
+    fam = fields.p5_family()
+    L5 = lyapunov_quantities(fam.P, fam.Q, 5).quantities[4]
+    assert _traced_peak(lambda: format_poly(L5)) < 300 * 2**10

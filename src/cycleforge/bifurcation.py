@@ -11,7 +11,6 @@ cycles around the analyzed singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,13 +32,16 @@ from .scalars import inverse
 # -- rational functions of the center parameters ---------------------------------
 
 
-@dataclass(frozen=True)
 class RatFunc:
     """num/den with MultiPoly parts, kept in lowest terms with a
     canonical (primitive, positive-leading) denominator."""
 
+    __slots__ = ("num", "den")
     num: MultiPoly
     den: MultiPoly
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -78,7 +80,6 @@ def ratfunc(num: MultiPoly, den: MultiPoly) -> RatFunc:
 # -- perturbation setup ------------------------------------------------------------
 
 
-@dataclass
 class PerturbationSetup:
     """A center family plus an invariance-preserving perturbation.
 
@@ -87,10 +88,15 @@ class PerturbationSetup:
     around which cycles are counted.
     """
 
+    __slots__ = ("field", "lambda_symbols", "alpha_symbol", "point")
     field: VectorField
     lambda_symbols: tuple
     alpha_symbol: str
     point: tuple
+
+    def __init__(self, field, lambda_symbols, alpha_symbol, point):
+        self.field, self.lambda_symbols, self.alpha_symbol = field, lambda_symbols, alpha_symbol
+        self.point = point
 
 
 def build_perturbation(
@@ -206,7 +212,6 @@ CANNED_SETUPS = {"P7": p7_setup, "P8": p8_setup, "P9b": p9_setup, "T1c": p9_setu
 # -- analysis -----------------------------------------------------------------------
 
 
-@dataclass
 class GGTReport:
     """Certificate of a first-order cycle-bifurcation count.
 
@@ -214,16 +219,23 @@ class GGTReport:
     out, else ("conditions_fail", reason).
     """
 
+    __slots__ = ("point", "symmetric", "k", "l", "M", "g_coeffs", "f_funcs",
+                 "mu0", "candidates", "verdict")
     point: tuple
     symmetric: bool
-    k: int = 0
-    l: Optional[int] = None
-    M: list = field(default_factory=list)  # p x k RatFunc reparametrization of Lambda
-    g_coeffs: list = field(default_factory=list)  # rows k.. of A*M, columns < k
-    f_funcs: list = field(default_factory=list)  # RatFunc f_0, f_1, ...
-    mu0: Optional[RootLocation] = None
-    candidates: list = field(default_factory=list)
-    verdict: tuple = ()
+    k: int
+    l: Optional[int]
+    M: list  # p x k RatFunc reparametrization of Lambda
+    g_coeffs: list  # rows k.. of A*M, columns < k
+    f_funcs: list  # RatFunc f_0, f_1, ...
+    mu0: Optional[RootLocation]
+    candidates: list
+    verdict: tuple
+
+    def __init__(self, point, symmetric):
+        self.point, self.symmetric = point, symmetric
+        self.k, self.l, self.mu0, self.verdict = 0, None, None, ()
+        self.M, self.g_coeffs, self.f_funcs, self.candidates = [], [], [], []
 
     def to_json(self) -> dict:
         def loc(r):

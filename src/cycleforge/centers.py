@@ -9,7 +9,6 @@ independently of how they were found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -63,12 +62,15 @@ def divergence(field: VectorField) -> MultiPoly:
     return field.P.diff("x") + field.Q.diff("y")
 
 
-@dataclass
 class CenterCertificate:
+    __slots__ = ("kind", "line", "factors", "witness")
     kind: str  # "reversible" | "darboux" | "separable" | "none"
-    line: Optional[str] = None
-    factors: Optional[list] = None  # [(MultiPoly, scalar exponent)]
-    witness: Optional[str] = None
+    line: Optional[str]
+    factors: Optional[list]  # [(MultiPoly, scalar exponent)]
+    witness: Optional[str]
+
+    def __init__(self, kind, line=None, factors=None, witness=None):
+        self.kind, self.line, self.factors, self.witness = kind, line, factors, witness
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}

@@ -341,14 +341,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_game_build(args) -> int:
     data = _read_json_object(args.file)
     try:
-        for name in ("A", "B"):
-            for r, row in enumerate(data[name]):
+        A, B = ([[parse_poly(str(e), fields.XY) for e in row] for row in data[n]] for n in "AB")
+        for name, M in (("A", A), ("B", B)):  # each degree checked before the shift
+            for r, row in enumerate(M):
                 for c, entry in enumerate(row):
-                    d = parse_poly(str(entry), ("x", "y")).degree()
-                    if d > MAX_PAYOFF_DEGREE:
-                        raise InputError(f"{args.file}: {name}[{r}][{c}] has degree {d} "
-                                         f"in x, y, over {MAX_PAYOFF_DEGREE}")
-        fld = fields.build_from_game(data["A"], data["B"])
+                    if entry.degree() > MAX_PAYOFF_DEGREE:
+                        raise InputError(f"{args.file}: {name}[{r}][{c}] has degree "
+                                         f"{entry.degree()} in x, y, over {MAX_PAYOFF_DEGREE}")
+        fld = fields.build_from_game(A, B)
     except (KeyError, TypeError, PolyParseError, ValueError) as e:
         raise InputError(f"{args.file}: {e}")
     _emit_json(fld.to_json(), args.out)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -136,13 +135,17 @@ class CertifiedPoint:
         return bx.midpoint(), by.midpoint()
 
 
-@dataclass
 class SingularPoint:
+    __slots__ = ("point", "det_sign", "trace_sign", "kind", "index")
     point: CertifiedPoint
     det_sign: int
     trace_sign: int
     kind: str  # saddle | antisaddle_node | antisaddle_focus | linear_center | degenerate
     index: Optional[int]
+
+    def __init__(self, point, det_sign, trace_sign, kind, index):
+        self.point, self.det_sign, self.trace_sign = point, det_sign, trace_sign
+        self.kind, self.index = kind, index
 
     def to_json(self) -> dict:
         bx, by = self.point.enclosure()
@@ -161,11 +164,14 @@ class SingularPoint:
         }
 
 
-@dataclass
 class SingularityReport:
+    __slots__ = ("points", "degenerate_family", "reason")
     points: list
-    degenerate_family: bool = False
-    reason: Optional[str] = None
+    degenerate_family: bool
+    reason: Optional[str]
+
+    def __init__(self, points, degenerate_family=False, reason=None):
+        self.points, self.degenerate_family, self.reason = points, degenerate_family, reason
 
     def to_json(self) -> dict:
         out = {"points": [p.to_json() for p in self.points],
@@ -333,11 +339,14 @@ def _orientation(pts: Sequence[CertifiedPoint]) -> Optional[int]:
         width = width**2
 
 
-@dataclass
 class BerlinskiiResult:
+    __slots__ = ("configuration", "orientation", "detail")
     configuration: str  # convex_alternating | triangle_config | not_applicable | counterexample
-    orientation: Optional[str] = None  # for triangles: which type is inside
-    detail: Optional[str] = None
+    orientation: Optional[str]  # for triangles: which type is inside
+    detail: Optional[str]
+
+    def __init__(self, configuration, orientation=None, detail=None):
+        self.configuration, self.orientation, self.detail = configuration, orientation, detail
 
     def to_json(self) -> dict:
         out = {"configuration": self.configuration}

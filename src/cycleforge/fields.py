@@ -7,7 +7,6 @@ one realizable from two-player game dynamics with polynomial payoffs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -33,17 +32,17 @@ def square_factors(variables: Sequence[str]) -> tuple:
     return 4 * x**2 - 1, 4 * y**2 - 1
 
 
-@dataclass
 class VectorField:
     """P = (4x^2-1)*f, Q = (4y^2-1)*g; the factored form is kept exact."""
 
+    __slots__ = ("f", "g", "P", "Q")
     f: MultiPoly
     g: MultiPoly
-    P: MultiPoly = field(init=False)
-    Q: MultiPoly = field(init=False)
+    P: MultiPoly
+    Q: MultiPoly
 
-    def __post_init__(self):
-        f, g = MultiPoly._align(self.f, self.g)
+    def __init__(self, f, g):
+        f, g = MultiPoly._align(f, g)
         if "x" not in f.variables or "y" not in f.variables:
             raise ValueError("field components must use variables x and y")
         self.f, self.g = f, g
@@ -192,13 +191,14 @@ def build_from_game(A: Sequence, B: Sequence) -> VectorField:
     """Reduce the two-strategy replicator dynamics of the 2x2 payoff
     matrices A and B to a square-invariant field.
 
-    Entries are numbers or polynomial strings in the mixed-strategy
-    weights (x, y).  On the unit square the dynamics is x' = x(x-1)*f*(x,y),
-    y' = y(y-1)*g*(x,y) with f* and g* the payoff combinations; centering
-    the square at the origin and rescaling time by 4 gives
-    P = (4x^2-1)*f, Q = (4y^2-1)*g exactly.
+    Entries are numbers, polynomial strings or MultiPoly over the
+    mixed-strategy weights (x, y).  On the unit square the dynamics is
+    x' = x(x-1)*f*(x,y), y' = y(y-1)*g*(x,y) with f* and g* the payoff
+    combinations; centering the square at the origin and rescaling time
+    by 4 gives P = (4x^2-1)*f, Q = (4y^2-1)*g exactly.
     """
-    A, B = ([[parse_poly(str(e), XY) for e in row] for row in M] for M in (A, B))
+    A, B = ([[e if isinstance(e, MultiPoly) else parse_poly(str(e), XY) for e in row]
+             for row in M] for M in (A, B))
     if any(len(M) != 2 or any(len(row) != 2 for row in M) for M in (A, B)):
         raise ValueError("payoff matrices must be 2x2")
     xv, yv = MultiPoly.var("x", XY), MultiPoly.var("y", XY)

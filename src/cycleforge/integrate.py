@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -151,9 +150,9 @@ def _bisect(g, a, b) -> float:
     return (a + b) / 2
 
 
-@dataclass
 class Solution:
     """What `solve_ivp` returns; y[k] is the state at t[k]."""
+    __slots__ = ("t", "y", "t_events", "y_events", "nfev", "status", "message")
     t: list
     y: list
     t_events: list  # per event: the time it ended the solve, if it did
@@ -161,6 +160,10 @@ class Solution:
     nfev: int
     status: int  # 0: reached the end, 1: an event ended the solve, -1: failed
     message: str
+
+    def __init__(self, t, y, t_events, y_events, nfev, status, message):
+        self.t, self.y, self.t_events, self.y_events = t, y, t_events, y_events
+        self.nfev, self.status, self.message = nfev, status, message
 
     @property
     def success(self) -> bool:
@@ -260,12 +263,15 @@ def _rhs(field: VectorField, binding: Optional[Mapping]):
     return rhs, fb
 
 
-@dataclass
 class Trajectory:
+    __slots__ = ("t", "xy", "status", "diagnostic")
     t: Sequence[float]
     xy: Sequence[Sequence[float]]
     status: str  # "ok" | "truncated"
-    diagnostic: str = ""
+    diagnostic: str
+
+    def __init__(self, t, xy, status, diagnostic=""):
+        self.t, self.xy, self.status, self.diagnostic = t, xy, status, diagnostic
 
     def csv_text(self) -> str:
         """CSV text: a t,x,y header, floats in repr form, LF line ends."""

@@ -28,7 +28,6 @@ degrees 2N and 2N+1 are never swept, and degree 2N-1 is never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence
@@ -64,7 +63,6 @@ def sqrt_scalar(q: Fraction):
     return QuadExt(0, Fraction(k, q.denominator), s)
 
 
-@dataclass
 class NormalizedField:
     """A field with linear part (-y, x) at the origin, in shifted and
     linearly transformed coordinates.
@@ -75,9 +73,13 @@ class NormalizedField:
     could need a second radical, so it is applied to the output instead.
     """
 
+    __slots__ = ("p", "q", "quantity_scale")
     p: MultiPoly
     q: MultiPoly
-    quantity_scale: Fraction = Fraction(1)
+    quantity_scale: Fraction
+
+    def __init__(self, p, q, quantity_scale=Fraction(1)):
+        self.p, self.q, self.quantity_scale = p, q, quantity_scale
 
 
 def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField:
@@ -128,10 +130,13 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
     return NormalizedField(p=pn, q=qn, quantity_scale=Fraction(2))
 
 
-@dataclass
 class LyapunovReport:
+    __slots__ = ("quantities", "parameters")
     quantities: list  # L_1 .. L_N as MultiPoly in the parameters
     parameters: tuple
+
+    def __init__(self, quantities, parameters):
+        self.quantities, self.parameters = quantities, parameters
 
     def to_json(self) -> dict:
         return {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional
 
 from .poly import MultiPoly
@@ -51,6 +52,26 @@ def format_poly(p: MultiPoly) -> str:
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
+
+
+# Largest estimated work of one `^` expansion (`_power_work`); a unit costs
+# about 0.1-0.2 ns, so the costliest power it admits takes about 1 s.
+MAX_POWER_WORK = 5 * 10**9
+
+
+def _power_work(p: MultiPoly, e: int) -> int:
+    """Estimated work of p ** e, read off p alone: the term pairs of its last
+    products, bounds on the terms of p^e times those of p^(e/2), times the
+    coefficient bits of p^e (squared past 2^14 bits); 100 times that over
+    Q(sqrt d), whose scalars multiply in Python."""
+    cs = [c for _, c in p.sorted_terms()]
+    t, d, n = len(cs), max(p.degree(), 0), len(p.used_variables())
+    parts = [v for c in cs for v in ((c.a, c.b, c.d) if isinstance(c, QuadExt) else (c,))]
+    bits = e * (max((max(abs(v.numerator), v.denominator).bit_length() for v in parts),
+                    default=1) + t.bit_length())
+    terms = [min(comb(t + k - 1, k), comb(k * d + n, n)) for k in (e, (e + 1) // 2)]
+    slow = 100 if any(isinstance(c, QuadExt) for c in cs) else 1
+    return slow * terms[0] * terms[1] * bits * (1 + (bits >> 14))
 
 
 class PolyParseError(ValueError):
@@ -164,22 +185,23 @@ class _Parser:
         raise PolyParseError(f"unexpected {val!r}", pos)
 
     def _maybe_power(self, p):
-        kind, val, _ = self.peek()
-        if val == "^":
-            self.next()
+        if self.peek()[1] != "^":
+            return p
+        self.next()
+        k2, v2, p2 = self.next()
+        neg = v2 == "-"
+        if neg:
             k2, v2, p2 = self.next()
-            neg = False
-            if v2 == "-":
-                neg = True
-                k2, v2, p2 = self.next()
-            if k2 != "num":
-                raise PolyParseError("exponent must be an integer", p2)
-            if neg:
-                if not p.is_constant():
-                    raise PolyParseError("negative power of a non-constant", p2)
-                return MultiPoly.const(inverse(p.constant_value())) ** int(v2)
-            return p ** int(v2)
-        return p
+        if k2 != "num":
+            raise PolyParseError("exponent must be an integer", p2)
+        e = int(v2)
+        if e > 1 and _power_work(p, e) > MAX_POWER_WORK:  # refused before it expands
+            raise PolyParseError(f"power ^{v2} would expand past MAX_POWER_WORK", p2)
+        if neg:
+            if not p.is_constant():
+                raise PolyParseError("negative power of a non-constant", p2)
+            p = MultiPoly.const(inverse(p.constant_value()))
+        return p ** e
 
 
 def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> MultiPoly:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .poly import MultiPoly, format_poly
@@ -274,7 +273,6 @@ def extract_linear_factors(p: MultiPoly, coeff_bound: int = 4):
 # -- elimination cascade --------------------------------------------------------
 
 
-@dataclass
 class EliminationTrace:
     """Record of one elimination stage.
 
@@ -284,6 +282,8 @@ class EliminationTrace:
     vanishing defines the side system not explored by the cascade.
     """
 
+    __slots__ = ("stage", "eliminated_variable", "inputs", "resultants", "common_factors",
+                 "factors", "remainders", "branch_condition", "identically_zero")
     stage: int
     eliminated_variable: str
     inputs: List[MultiPoly]
@@ -293,6 +293,13 @@ class EliminationTrace:
     remainders: List[MultiPoly]
     branch_condition: Optional[MultiPoly]
     identically_zero: List[int]
+
+    def __init__(self, stage, eliminated_variable, inputs, resultants, common_factors,
+                 factors, remainders, branch_condition, identically_zero):
+        self.stage, self.eliminated_variable, self.inputs = stage, eliminated_variable, inputs
+        self.resultants, self.common_factors, self.factors = resultants, common_factors, factors
+        self.remainders, self.branch_condition = remainders, branch_condition
+        self.identically_zero = identically_zero
 
     def verify(self) -> bool:
         for r, fs, rem in zip(self.resultants, self.factors, self.remainders):

@@ -11,7 +11,6 @@ to, so `refine` and `sign_at_root` need nothing but the root itself;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -142,15 +141,27 @@ def cauchy_bound(coeffs: list) -> Fraction:
 # -- root objects ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IsolatingInterval:
     """Open rational interval certified (Sturm count 1) to hold one simple
     root of the square-free polynomial `poly` (coefficients, index = power)."""
 
+    __slots__ = ("lo", "hi", "sign_change_certificate", "poly")
     lo: Fraction
     hi: Fraction
     sign_change_certificate: tuple  # (sign of poly at lo, sign at hi)
-    poly: tuple = field(repr=False)
+    poly: tuple
+
+    def __init__(self, lo, hi, sign_change_certificate, poly):
+        self.lo, self.hi = lo, hi
+        self.sign_change_certificate, self.poly = sign_change_certificate, poly
+
+    def __eq__(self, other):
+        return (type(other) is IsolatingInterval and self.lo == other.lo and self.hi == other.hi
+                and self.sign_change_certificate == other.sign_change_certificate
+                and self.poly == other.poly)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.sign_change_certificate, self.poly))
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -362,14 +373,21 @@ def sign_at_root(f: MultiPoly, root: RootLocation, var: str) -> int:
 # -- rational interval arithmetic (enclosures only; signs are exact) -----------
 
 
-@dataclass(frozen=True)
 class RatInterval:
+    __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo, hi):
+        if lo > hi:
             raise ValueError("empty interval")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other):
+        return type(other) is RatInterval and (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, x) -> "RatInterval":

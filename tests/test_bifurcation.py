@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cycleforge.bifurcation import (
+    GGTReport,
     _quantities_at_point,
     build_perturbation,
     ggt_analyze,
@@ -176,3 +177,11 @@ def test_p8_reparametrization_matches_sympy_inverse_and_kernel():
             want = inv[pivots.index(c), j] if c in pivots else 0
             assert same(row[j], want)
         assert same(row[k - 1], kernel[c] / kernel[last])
+
+
+def test_reports_do_not_share_their_lists():
+    a, b = GGTReport((0, 0), True), GGTReport((0, 0), True)
+    assert (a.k, a.l, a.mu0, a.verdict) == (0, None, None, ())
+    for name in ("M", "g_coeffs", "f_funcs", "candidates"):
+        getattr(a, name).append(1)
+        assert getattr(b, name) == []

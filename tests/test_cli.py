@@ -159,6 +159,10 @@ TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "
     (["game-build", "--file", "json:" + json.dumps(
         {"A": [[0, 0], [0, 0]], "B": [[0, 0], ["x^2000", 0]]})],
      f"B[1][0] has degree 2000 in x, y, over {cli.MAX_PAYOFF_DEGREE}"),
+    (["game-build", "--file", "json:" + json.dumps(
+        {"A": [["(x+y+1)^400", 0], [0, 0]], "B": [[0, 0], [0, 0]]})],
+     "power ^400 would expand past MAX_POWER_WORK"),
+    (["singular", "--file", "json:" + json.dumps({"f": "(x+y+1)^400", "g": "y"})], "^400"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = _with_files(argv, tmp_path)
@@ -365,6 +369,23 @@ def test_game_build(tmp_path, capsys):
     assert data["f"] == "2*y" and data["g"] == "2*x" and data["class"] == "X_d0"
 
 
+def test_game_build_parses_each_entry_once(tmp_path, capsys, monkeypatch):
+    texts = []
+
+    def counted(text, variables=None):
+        texts.append(text)
+        return parse(text, variables)
+
+    parse = cli.parse_poly
+    monkeypatch.setattr(cli, "parse_poly", counted)
+    monkeypatch.setattr(fields, "parse_poly", counted)
+    src = tmp_path / "game.json"
+    src.write_text(json.dumps({"A": [["x", 0], [1, "x*y"]], "B": [[0, "y^2"], ["1/2", 0]]}))
+    code, out, err = run(capsys, "game-build", "--file", str(src))
+    assert code == 0 and err == ""
+    assert sorted(texts) == sorted(["x", "0", "1", "x*y", "0", "y^2", "1/2", "0"])
+
+
 def test_game_build_takes_entries_up_to_the_degree_bound(tmp_path, capsys):
     n = cli.MAX_PAYOFF_DEGREE
     src = tmp_path / "game.json"
@@ -565,7 +586,7 @@ NAMES = ["a11", "mu", "alpha", "x", "zz", ""]
 NUMBERS = ["0", "1", "-2", "1/3", "-3/4", "1/100"]
 BAD_NUMBERS = ["1/0", "0.5", "nan", "abc", "", "7" * 400]
 POLYS = ["y", "-x", "x*y - 1/3", "y + mu*x*y", "-x + x^2 + mu*y^2", "x^2 + sqrt(2)*y", "2"]
-BAD_POLYS = ["1/0", "(x", "zz*x", "", "x^70000", "x***y"]
+BAD_POLYS = ["1/0", "(x", "zz*x", "", "x^70000", "x***y", "(x+y+1)^400"]
 TERMS = ["(4*x^2-1)*y", "(4*x^2-1)*y^2", "(4*y^2-1)*x", "(4*y^2-1)*x*y", "-(4*x^2-1)*y"]
 BAD_TERMS = ["x*y", "1/0", "(4*x^2-1)*zz"]
 JSON_JUNK = [None, True, 0.5, float("inf"), [1], {}, "1/0"]

@@ -71,6 +71,15 @@ def test_game_model_reduction():
     assert format_poly(fld.g) == "2*x"
 
 
+def test_game_model_takes_parsed_entries():
+    A, B = [[0, "x"], ["1/2", "x*y - 1"]], [["y^2", 0], [1, "x + y"]]
+    parsed = [[[parse_poly(str(e), fields.XY) for e in row] for row in M] for M in (A, B)]
+    want, got = build_from_game(A, B), build_from_game(*parsed)
+    assert (got.f, got.g, got.P, got.Q) == (want.f, want.g, want.P, want.Q)
+    assert got.P == parse_poly("4*x^2 - 1", fields.XY) * got.f
+    assert got.Q == parse_poly("4*y^2 - 1", fields.XY) * got.g
+
+
 def test_game_model_shape_checked():
     with pytest.raises(ValueError):
         build_from_game([[0, 0]], [[0, 0], [0, 0]])

@@ -124,6 +124,19 @@ def test_trajectory_type_hints_resolve_without_numpy():
     assert out.splitlines() == ["['diagnostic', 'status', 't', 'xy']", "[]"]
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """The record classes are plain classes with __slots__, so a fresh CLI
+    process never loads dataclasses, nor the inspect it imports.  Modules
+    the bare interpreter already holds (a site hook may load them) are not
+    counted."""
+    out = _python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cycleforge.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    assert out.splitlines() == ["[]"]
+
+
 def test_numeric_layer_loads_no_numeric_module(tmp_path):
     # simulate, return_map and refine_cycle_bracket all integrate
     dst = tmp_path / "orbit.csv"

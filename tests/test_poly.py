@@ -1,11 +1,13 @@
 """Sparse multivariate polynomial arithmetic."""
 
 import ast
+import time
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from cycleforge import polytext
 from cycleforge.poly import MultiPoly, PolyParseError, format_poly, parse_poly
 from cycleforge.scalars import QuadExt
 
@@ -98,6 +100,27 @@ def test_parser_rejects_garbage():
     for bad in ("x +", "2 **", "(x", "x^-1", ""):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "(x+y+1)^400", "(x+1)^5000", "(2*x - 3*y + 5/7)^300", "(x+y+z+w+1)^60",
+    "(sqrt(3)*x + y + 1)^100", "3^100000000", "(2^65535)^65535", "(2^65535)^-65535",
+])
+def test_power_past_the_work_bound_is_refused_before_it_expands(text):
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match=r"power \^-?\d+ would expand past MAX_POWER_WORK"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("x^2000", 2000), ("x^65535", 65535), ("(x+y+1)^60", 60), ("(x+1)^500", 500),
+    ("(x^2 - 2)^2", 4), ("2^-3", 0), ("(sqrt(2) + 1)^200", 0), ("0^7", -1),
+])
+def test_powers_under_the_work_bound_expand(text, degree):
+    assert parse_poly(text).degree() == degree
+    base, e = text.rsplit("^", 1)
+    assert polytext._power_work(parse_poly(base), abs(int(e))) <= polytext.MAX_POWER_WORK
 
 
 def test_parser_precedence_and_fractions():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cycleforge.poly import MultiPoly, parse_poly
 from cycleforge.roots import (
     IsolatingInterval,
+    RatInterval,
     cauchy_bound,
     gcd_univariate,
     horner,
@@ -364,3 +365,18 @@ def test_zero_polynomial_has_no_isolation():
     assert poly_to_coeffs(parse_poly("0")) == []
     with pytest.raises(ValueError):
         isolate_real_roots(parse_poly("0", ("x",)))
+
+
+def test_intervals_are_equal_and_hash_equal_by_value():
+    a, b = RatInterval(Fraction(1, 3), Fraction(1, 2)), RatInterval(Fraction(1, 3), Fraction(1, 2))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != RatInterval(Fraction(1, 3), Fraction(1)) and a != (a.lo, a.hi)
+    with pytest.raises(ValueError):
+        RatInterval(2, 1)
+    iv = isolate_real_roots(parse_poly("x^2 - 2"))[1]
+    twin = IsolatingInterval(iv.lo, iv.hi, iv.sign_change_certificate, iv.poly)
+    assert twin == iv and hash(twin) == hash(iv) and len({iv, twin}) == 1
+    # the square-free polynomial is part of the value, as the endpoints are
+    assert iv != IsolatingInterval(iv.lo, iv.hi, iv.sign_change_certificate,
+                                   tuple(2 * c for c in iv.poly))
+    assert iv != RatInterval(iv.lo, iv.hi)

@@ -53,7 +53,7 @@ class RatFunc:
         return self.den.is_constant()
 
     def __str__(self) -> str:
-        if self.den == MultiPoly.const(1, self.den.variables):
+        if self.is_polynomial():
             return format_poly(self.num)
         return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
@@ -277,9 +277,11 @@ def _quantities_at_point(setup: PerturbationSetup, binding: dict, N: int,
     binding = {k: v for k, v in {setup.alpha_symbol: Fraction(0), **binding}.items()
                if k in fld.variables}
     vs = tuple(v for v in fld.variables if v not in binding)
-    nf = normalize_at(fld.P.evaluate(binding).with_variables(vs),
-                      fld.Q.evaluate(binding).with_variables(vs), setup.point)
-    return lyapunov_quantities(nf.p, nf.q, N, jet=jet, quantity_scale=nf.quantity_scale)
+    p, q, scale = normalize_at(fld.P.evaluate(binding).with_variables(vs),
+                               fld.Q.evaluate(binding).with_variables(vs), setup.point)
+    rep = lyapunov_quantities(p, q, N, jet=jet)  # L_k / scale**k undoes a dilation
+    rep.quantities = [L * Fraction(1, scale**k) for k, L in enumerate(rep.quantities, 1)]
+    return rep
 
 
 def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:

@@ -9,43 +9,30 @@ independently of how they were found.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .fields import VectorField, square_factors
-from .linalg import ExactMatrix, solve_linear_exact
+from .linalg import ExactMatrix, echelon, solve_linear_exact
 from .poly import MultiPoly, format_poly
-
-
-def _swap_sub(field: VectorField, sx, sy):
-    """Substitute (x, y) -> (sx, sy) in both components."""
-    return field.P.substitute({"x": sx, "y": sy}), field.Q.substitute(
-        {"x": sx, "y": sy}
-    )
 
 
 def reversibility(field: VectorField) -> list:
     """All axes/diagonals about which the field is reversible.
 
-    The four candidate involutions are reflection in x=0, y=0, y=x and
-    y=-x; each has an exact polynomial criterion on (P, Q).
+    The four candidate involutions R are reflection in x=0, y=0, y=x and
+    y=-x; the field X is reversible about one when X = -R(X o R), R acting
+    on the vector (P, Q) as on the point (x, y).
     """
     xv = MultiPoly.var("x", field.variables)
     yv = MultiPoly.var("y", field.variables)
     P, Q = field.P, field.Q
     lines = []
-    pm, qm = _swap_sub(field, -xv, yv)
-    if P == pm and Q == -qm:
-        lines.append("x=0")
-    pm, qm = _swap_sub(field, xv, -yv)
-    if P == -pm and Q == qm:
-        lines.append("y=0")
-    pm, qm = _swap_sub(field, yv, xv)
-    if P == -qm and Q == -pm:
-        lines.append("y=x")
-    pm, qm = _swap_sub(field, -yv, -xv)
-    if P == qm and Q == pm:
-        lines.append("y=-x")
+    for line, R in (("x=0", lambda a, b: (-a, b)), ("y=0", lambda a, b: (a, -b)),
+                    ("y=x", lambda a, b: (b, a)), ("y=-x", lambda a, b: (-b, -a))):
+        sub = dict(zip("xy", R(xv, yv)))
+        pm, qm = R(P.substitute(sub), Q.substitute(sub))
+        if P == -pm and Q == -qm:
+            lines.append(line)
     return lines
 
 
@@ -138,21 +125,15 @@ def _separates(p: MultiPoly) -> bool:
 
     Writing p = sum_{i,j} c_ij * x^i y^j with c_ij polynomial in the
     parameters, p separates for every parameter value iff the coefficient
-    matrix (c_ij) has rank one, i.e. every 2x2 minor vanishes identically.
+    matrix (c_ij) has rank at most one over the parameters, i.e. every 2x2
+    minor vanishes identically.
     """
     cells = p.collect(("x", "y"))
     rows = sorted({i for i, _ in cells})
     cols = sorted({j for _, j in cells})
     zero = MultiPoly.zero(p.variables)
-    for r1, r2 in combinations(rows, 2):
-        for c1, c2 in combinations(cols, 2):
-            minor = (
-                cells.get((r1, c1), zero) * cells.get((r2, c2), zero)
-                - cells.get((r1, c2), zero) * cells.get((r2, c1), zero)
-            )
-            if not minor.is_zero():
-                return False
-    return True
+    matrix = ExactMatrix([[cells.get((i, j), zero) for j in cols] for i in rows])
+    return len(echelon(matrix)[2]) <= 1
 
 
 def separable_check(field: VectorField) -> bool:

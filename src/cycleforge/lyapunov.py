@@ -33,80 +33,33 @@ from math import prod
 from typing import Optional, Sequence
 
 from .poly import MultiPoly, format_poly
-from .scalars import QuadExt, inverse, is_zero, scalar_sign, squarefree_decompose
+from .scalars import QuadExt, as_fraction, inverse, is_zero, scalar_sign
 
 
 XY = ("x", "y")
 
 
-def _linear_data(p: MultiPoly):
-    """Constant term and the two linear coefficients of p in (x, y).
-
-    Raises if any of them involves other symbols: the linear part must be
-    numeric for the normalization to make sense.
-    """
-    parts = p.collect(XY)
-    zero = MultiPoly.zero(p.variables)
-    low = [parts.get(m, zero) for m in ((0, 0), (1, 0), (0, 1))]
-    if not all(c.is_constant() for c in low):
-        raise ValueError("linear part depends on symbolic parameters")
-    return tuple(c.constant_value() for c in low)
-
-
-def sqrt_scalar(q: Fraction):
-    """Exact square root of a positive rational, as Fraction or QuadExt."""
-    if q <= 0:
-        raise ValueError("square root of a nonpositive value")
-    s, k = squarefree_decompose(q.numerator * q.denominator)
-    if s == 1:
-        return Fraction(k, q.denominator)
-    return QuadExt(0, Fraction(k, q.denominator), s)
-
-
-class NormalizedField:
-    """A field with linear part (-y, x) at the origin, in shifted and
-    linearly transformed coordinates.
-
-    `quantity_scale` records a residual coordinate dilation s with rational
-    s^2: the solver divides the k-th quantity by quantity_scale**k, which is
-    exactly the effect the dilation would have.  Materializing s itself
-    could need a second radical, so it is applied to the output instead.
-    """
-
-    __slots__ = ("p", "q", "quantity_scale")
-    p: MultiPoly
-    q: MultiPoly
-    quantity_scale: Fraction
-
-    def __init__(self, p, q, quantity_scale=Fraction(1)):
-        self.p, self.q, self.quantity_scale = p, q, quantity_scale
-
-
-def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField:
+def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> tuple:
     """Translate a linear-center singularity to the origin and bring the
-    linear part to (-y, x).
+    linear part to (-y, x); returns (p, q, scale).
 
     The Jacobian [[a, b], [c, -a]] at `point` must be trace-free with
-    positive determinant (numeric, not symbolic).  When it is already the
-    standard rotation the normalization is the identity.  Otherwise the
-    change of variables is the phase-plane form of the second coordinate,
-    (u, v) = sqrt(2) * (y, -(c*x - a*y)/w) with w = sqrt(det), followed by
-    a time rescale by w; the sqrt(2) dilation is deferred to
-    `quantity_scale`.  The result may live over a quadratic extension when
-    det is not a perfect square.
+    positive rational determinant (numeric, not symbolic).  When it is the
+    rotation already, this is the plain shift.  Otherwise p and q are taken
+    at the affine map back from (u, v) = (y - y0, (a*(y - y0) - c*(x - x0))/w),
+    w = sqrt(det), possibly in Q(sqrt d), and time is rescaled by w.  The
+    caller divides the k-th quantity by scale**k for a sqrt(2) dilation.
     """
     p, q = MultiPoly._align(p, q)
     variables = p.variables
     if "x" not in variables or "y" not in variables:
         raise ValueError("field must use variables x and y")
     x0, y0 = point
-    xv = MultiPoly.var("x", variables)
-    yv = MultiPoly.var("y", variables)
-    shift = {"x": xv + x0, "y": yv + y0}
-    pt = p.substitute(shift)
-    qt = q.substitute(shift)
-    p0, a, b = _linear_data(pt)
-    q0, c, mg = _linear_data(qt)
+    at = {"x": x0, "y": y0}  # the value and gradient of p and q there
+    values = [h.evaluate(at) for r in (p, q) for h in (r, r.diff("x"), r.diff("y"))]
+    if not all(v.is_constant() for v in values):
+        raise ValueError("linear part depends on symbolic parameters")
+    p0, a, b, q0, c, mg = (v.constant_value() for v in values)
     if not is_zero(p0) or not is_zero(q0):
         raise ValueError("point is not a singularity")
     if a + mg != 0:
@@ -114,20 +67,21 @@ def normalize_at(p: MultiPoly, q: MultiPoly, point: Sequence) -> NormalizedField
     det = a * mg - b * c
     if scalar_sign(det) <= 0:
         raise ValueError("Jacobian determinant is not positive")
+    xv = MultiPoly.var("x", variables)
+    yv = MultiPoly.var("y", variables)
     if a == 0 and b == -1 and c == 1:
-        return NormalizedField(p=pt, q=qt)
-    # trace-free with positive det forces b*c < -a^2 <= 0, so b, c != 0
-    omega = sqrt_scalar(Fraction(det))
-    # (u, v) = (y, -(c*x - a*y)/w); inverse: y = u, x = (a*u - w*v)/c
-    back = {"x": xv * (a / c) + yv * (-omega / c), "y": xv}
-    fh = pt - (xv * a + yv * b)  # nonlinear remainder of p
-    gh = qt - (xv * c + yv * (-a))
-    fs = fh.substitute(back)
-    gs = gh.substitute(back)
-    inv_w = inverse(omega)
-    pn = -yv + gs * inv_w
-    qn = xv - (fs * c - gs * a) * (inv_w * inv_w)
-    return NormalizedField(p=pn, q=qn, quantity_scale=Fraction(2))
+        shift = {"x": xv + x0, "y": yv + y0}
+        return p.substitute(shift), q.substitute(shift), 1
+    if isinstance(det, QuadExt) and det.b:
+        raise ValueError(f"Jacobian determinant {det} is irrational")
+    det = as_fraction(det)
+    w = QuadExt(0, Fraction(1, det.denominator), det.numerator * det.denominator)
+    w = w if w.b else w.a
+    # trace-free with positive det forces b*c < -a^2 <= 0, so c != 0
+    inv_c = inverse(c)
+    back = {"x": xv * (a * inv_c) + yv * (-w * inv_c) + x0, "y": xv + y0}
+    pb, qb = p.substitute(back), q.substitute(back)
+    return qb / w, (qb * a - pb * c) / det, 2
 
 
 class LyapunovReport:
@@ -173,7 +127,6 @@ def lyapunov_quantities(
     q: MultiPoly,
     count: int,
     jet: Optional[tuple] = None,
-    quantity_scale: Fraction = Fraction(1),
 ) -> LyapunovReport:
     """First `count` focus quantities of a field with linear part (-y, x).
 
@@ -186,8 +139,6 @@ def lyapunov_quantities(
     degree <= order in the given symbols.  With order 1 this computes the
     exact linearization of each quantity in those symbols, which is all a
     first-order bifurcation analysis needs.
-
-    `quantity_scale` divides L_k by scale**k (see NormalizedField).
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -285,9 +236,6 @@ def lyapunov_quantities(
         quantities.append(L_prev)
     if count:
         quantities.append(L_top)
-    if quantity_scale != 1:
-        quantities = [L * (Fraction(1) / quantity_scale ** n)
-                      for n, L in enumerate(quantities, start=1)]
     return LyapunovReport(quantities=quantities, parameters=params)
 
 

@@ -405,19 +405,12 @@ class MultiPoly:
         for v in bindings:
             if v not in self.variables:
                 raise KeyError(f"unknown variable {v!r}")
+        if self._d is None or any(isinstance(val, QuadExt) for val in bindings.values()):
+            return self.substitute({v: MultiPoly.const(val, self.variables)
+                                    for v, val in bindings.items()})
         top = _W * len(self.variables)
         fields = [(self._shift(v), Fraction(val) if isinstance(val, int) else val)
                   for v, val in bindings.items()]
-        if self._d is None or any(isinstance(val, QuadExt) for _, val in fields):
-            c = {}
-            for k, coeff in self._scalars().items():
-                for s, val in fields:
-                    e = (k >> s) & _MAX_EXP
-                    if e:
-                        coeff = coeff * val**e
-                        k -= (e << s) + (e << top)
-                c[k] = c.get(k, 0) + coeff
-            return _from_scalars(self.variables, c)
         # val = a/b at exponent e contributes a^e * b^(M - e) over b^M, M the
         # variable's top exponent here
         d = self._d

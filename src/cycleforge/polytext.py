@@ -54,24 +54,40 @@ _TOKEN = re.compile(
 )
 
 
-# Largest estimated work of one `^` expansion (`_power_work`); a unit costs
-# about 0.1-0.2 ns, so the costliest power it admits takes about 1 s.
+# Largest estimated work of one `^` expansion (`_power_work`) or one product
+# (`_product_work`); a unit costs about 0.1-0.2 ns, so the costliest power or
+# product it admits takes about 1 s.
 MAX_POWER_WORK = 5 * 10**9
 
 
-def _power_work(p: MultiPoly, e: int) -> int:
-    """Estimated work of p ** e, read off p alone: the term pairs of its last
-    products, bounds on the terms of p^e times those of p^(e/2), times the
-    coefficient bits of p^e (squared past 2^14 bits); 100 times that over
-    Q(sqrt d), whose scalars multiply in Python."""
+def _size(p: MultiPoly, e: int = 1) -> tuple:
+    """Bounds on the terms of p ** e (the fewer of the multisets of p's terms
+    and the monomials of degree <= e * deg p) and on its coefficient bits,
+    read off p alone, and whether p is over Q(sqrt d)."""
     cs = [c for _, c in p.sorted_terms()]
     t, d, n = len(cs), max(p.degree(), 0), len(p.used_variables())
     parts = [v for c in cs for v in ((c.a, c.b, c.d) if isinstance(c, QuadExt) else (c,))]
     bits = e * (max((max(abs(v.numerator), v.denominator).bit_length() for v in parts),
                     default=1) + t.bit_length())
-    terms = [min(comb(t + k - 1, k), comb(k * d + n, n)) for k in (e, (e + 1) // 2)]
-    slow = 100 if any(isinstance(c, QuadExt) for c in cs) else 1
-    return slow * terms[0] * terms[1] * bits * (1 + (bits >> 14))
+    terms = min(comb(max(t + e - 1, 0), e), comb(e * d + n, n))
+    return terms, bits, any(isinstance(c, QuadExt) for c in cs)
+
+
+def _power_work(p: MultiPoly, e: int) -> int:
+    """Estimated work of p ** e: the term pairs of its last products, bounds
+    on the terms of p^e times those of p^(e/2), times the coefficient bits of
+    p^e (squared past 2^14 bits); 100 times that over Q(sqrt d)."""
+    terms, bits, quad = _size(p, e)
+    pairs = terms * _size(p, (e + 1) // 2)[0]
+    return (100 if quad else 1) * pairs * bits * (1 + (bits >> 14))
+
+
+def _product_work(p: MultiPoly, q: MultiPoly, e: int) -> int:
+    """Estimated work of p * q ** e before q ** e expands: 8 units per term
+    pair (whose count has no slack here) and bit of both coefficients, plus
+    128 bits for the fixed cost of a pair; 100 times that over Q(sqrt d)."""
+    (tp, bp, quad), (tq, bq, qq) = _size(p), _size(q, e)
+    return (100 if quad or qq else 1) * 8 * tp * tq * (128 + bp + bq + (bp * bq >> 14))
 
 
 class PolyParseError(ValueError):
@@ -148,7 +164,7 @@ class _Parser:
             kind, val, pos = self.peek()
             if val == "*":
                 self.next()
-                p = p * self.factor()
+                p = p * self.factor(p, pos)
             elif val == "/":
                 self.next()
                 q = self.factor()
@@ -160,33 +176,35 @@ class _Parser:
             else:
                 return p
 
-    def factor(self):
+    def factor(self, left=None, at=0):
+        """A factor, checked as the right operand of left * factor, if any."""
         kind, val, pos = self.next()
         if val == "-":
-            return -self.factor()
+            return -self.factor(left, at)
         if val == "(":
             p = self.expr()
             self.expect(")")
-            return self._maybe_power(p)
-        if kind == "num":
-            return self._maybe_power(MultiPoly.const(Fraction(int(val))))
-        if kind == "name":
-            if val == "sqrt":
-                self.expect("(")
-                k2, v2, p2 = self.next()
-                if k2 != "num":
-                    raise PolyParseError("sqrt() needs an integer radicand", p2)
-                self.expect(")")
-                return self._maybe_power(
-                    MultiPoly.const(QuadExt(0, 1, int(v2)))
-                )
-            name = self._var(val, pos)
-            return self._maybe_power(MultiPoly.var(name))
-        raise PolyParseError(f"unexpected {val!r}", pos)
+        elif kind == "num":
+            p = MultiPoly.const(Fraction(int(val)))
+        elif kind == "name" and val == "sqrt":
+            self.expect("(")
+            k2, v2, p2 = self.next()
+            if k2 != "num":
+                raise PolyParseError("sqrt() needs an integer radicand", p2)
+            self.expect(")")
+            p = MultiPoly.const(QuadExt(0, 1, int(v2)))
+        elif kind == "name":
+            p = MultiPoly.var(self._var(val, pos))
+        else:
+            raise PolyParseError(f"unexpected {val!r}", pos)
+        p, e = self._power(p) if self.peek()[1] == "^" else (p, 1)
+        if left is not None and _product_work(left, p, e) > MAX_POWER_WORK:
+            raise PolyParseError("product would expand past MAX_POWER_WORK", at)
+        return p ** e
 
-    def _maybe_power(self, p):
-        if self.peek()[1] != "^":
-            return p
+    def _power(self, p) -> tuple:
+        """(base, e) of p ^ e after the `^`; a negative power inverts a
+        constant base.  Refused when p ** e would expand past MAX_POWER_WORK."""
         self.next()
         k2, v2, p2 = self.next()
         neg = v2 == "-"
@@ -198,10 +216,10 @@ class _Parser:
         if e > 1 and _power_work(p, e) > MAX_POWER_WORK:  # refused before it expands
             raise PolyParseError(f"power ^{v2} would expand past MAX_POWER_WORK", p2)
         if neg:
-            if not p.is_constant():
-                raise PolyParseError("negative power of a non-constant", p2)
+            if p.is_zero() or not p.is_constant():
+                raise PolyParseError("negative power of zero or of a non-constant", p2)
             p = MultiPoly.const(inverse(p.constant_value()))
-        return p ** e
+        return p, e
 
 
 def parse_poly(text: str, variables: Optional[Iterable[str]] = None) -> MultiPoly:

@@ -1,5 +1,8 @@
 """Center certificates: invariant curves, cofactors, integrating factors."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from cycleforge import centers, fields
@@ -63,6 +66,38 @@ def test_separable_detection():
     assert not centers.separable_check(
         VectorField(parse_poly("y + x*y + y^2", ("x", "y")),
                     parse_poly("-x + x^2", ("x", "y"))))
+
+
+def _minors_vanish(p: MultiPoly) -> bool:
+    """Every 2x2 minor of the (x, y) coefficient matrix of p is zero."""
+    cells = p.collect(("x", "y"))
+    zero = MultiPoly.zero(p.variables)
+    rows, cols = {i for i, _ in cells}, {j for _, j in cells}
+    return all((cells.get((r1, c1), zero) * cells.get((r2, c2), zero)
+                - cells.get((r1, c2), zero) * cells.get((r2, c1), zero)).is_zero()
+               for r1, r2 in combinations(rows, 2) for c1, c2 in combinations(cols, 2))
+
+
+def test_separable_check_matches_the_minor_definition():
+    # u(x)*v(y) with parameter coefficients separates; a sum of two such
+    # products separates only when its coefficient matrix keeps rank one
+    rng = random.Random(5)
+    vs = ("x", "y", "a", "b")
+    pieces = ["0", "1", "-2", "a", "b", "a - b", "a*b", "3*a + 1"]
+
+    def factor(var):
+        return parse_poly(" + ".join(f"({rng.choice(pieces)})*{var}^{k}" for k in range(3)), vs)
+
+    seen = set()
+    for _ in range(30):
+        prod = factor("x") * factor("y")
+        total = prod + factor("x") * factor("y")
+        for f, g in ((prod, prod), (prod, total), (total, prod), (total, total)):
+            fld = VectorField(f, g)
+            expected = _minors_vanish(fld.P) and _minors_vanish(fld.Q)
+            assert centers.separable_check(fld) == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_certify_none_for_generic_family():

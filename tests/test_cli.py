@@ -90,6 +90,9 @@ SETUP = 'json:{"base": {"f": "y", "g": "-x"}, "terms": [], "point": '
 # a --setup file up to its "alpha" value, which no term's symbol matches
 ALPHA = ('json:{"base": {"f": "x*y-1", "g": "x^2*y^2-1/7", "variables": ["x", "y", "mu"]}, '
          '"terms": [["P", "lam", "(4*x^2-1)*y^2"]], "point": ["1/4", 0], "alpha": ')
+# the perturbation terms of the canned P7 setup
+P7_TERMS = [["P", "alpha", "-(4*x^2 - 1)*y"], ["P", "a", "(4*x^2 - 1)*y^2"],
+            ["Q", "alpha", "(4*y^2 - 1)*x"], ["Q", "b", "(4*y^2 - 1)*x*y"]]
 # a --setup file over (x, y, mu) up to the symbol and expression of its one term
 TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "y", "mu"]}, '
         '"terms": [["P", ')
@@ -163,6 +166,10 @@ TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "
         {"A": [["(x+y+1)^400", 0], [0, 0]], "B": [[0, 0], [0, 0]]})],
      "power ^400 would expand past MAX_POWER_WORK"),
     (["singular", "--file", "json:" + json.dumps({"f": "(x+y+1)^400", "g": "y"})], "^400"),
+    (["bifurcate", "--setup", "json:" + json.dumps(
+        {"base": {"f": "sqrt(2)*y + x*y", "g": "-(1+sqrt(2))*x + x^2"}, "terms": P7_TERMS})],
+     "Jacobian determinant 2+sqrt(2)"),
+    (["lyap", "--file", 'json:{"f": "y + 0^-1", "g": "-x"}'], "negative power of zero"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = _with_files(argv, tmp_path)
@@ -284,6 +291,17 @@ def test_bifurcate_custom_setup(tmp_path, capsys):
     data = json.loads(out)
     assert data["verdict"] == {"kind": "k_plus_ell_cycles", "count": 3}
     assert data["mu0"] == {"exact": "5"}
+
+
+def test_bifurcate_setup_with_a_linear_part_over_a_quadratic_extension(tmp_path, capsys):
+    # the Jacobian at the origin is [[0, sqrt(2)], [-sqrt(2), 0]], det 2
+    src = tmp_path / "setup.json"
+    src.write_text(json.dumps({"base": {"f": "sqrt(2)*y + x*y", "g": "-sqrt(2)*x + x^2"},
+                               "terms": P7_TERMS}))
+    code, out, err = run(capsys, "bifurcate", "--setup", str(src))
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["k"] == 2 and data["verdict"]["kind"] == "conditions_fail"
 
 
 def test_bifurcate_setup_rejects_bad_term(tmp_path, capsys):
@@ -586,7 +604,8 @@ NAMES = ["a11", "mu", "alpha", "x", "zz", ""]
 NUMBERS = ["0", "1", "-2", "1/3", "-3/4", "1/100"]
 BAD_NUMBERS = ["1/0", "0.5", "nan", "abc", "", "7" * 400]
 POLYS = ["y", "-x", "x*y - 1/3", "y + mu*x*y", "-x + x^2 + mu*y^2", "x^2 + sqrt(2)*y", "2"]
-BAD_POLYS = ["1/0", "(x", "zz*x", "", "x^70000", "x***y", "(x+y+1)^400"]
+BAD_POLYS = ["1/0", "(x", "zz*x", "", "x^70000", "x***y", "(x+y+1)^400",
+             "(x+y+1)^100*(x+y+1)^100"]
 TERMS = ["(4*x^2-1)*y", "(4*x^2-1)*y^2", "(4*y^2-1)*x", "(4*y^2-1)*x*y", "-(4*x^2-1)*y"]
 BAD_TERMS = ["x*y", "1/0", "(4*x^2-1)*zz"]
 JSON_JUNK = [None, True, 0.5, float("inf"), [1], {}, "1/0"]

@@ -25,7 +25,7 @@ README = SRC.parent / "README.md"
 ACCEPTANCE = SRC.parent / "tests" / "test_acceptance.py"
 # library entry points that no CLI command reaches; each backs an acceptance
 # criterion
-ENTRY_POINTS = ("displacement_sign_changes", "verify", "is_polynomial")
+ENTRY_POINTS = ("displacement_sign_changes", "verify")
 NUMERIC = ("numpy", "scipy")
 # compile() of a module peaks at about 340 bytes per token (tracemalloc), and
 # the allocator keeps that memory for the life of the process.  Without a

@@ -53,13 +53,13 @@ def test_rejects_wrong_linear_part():
 
 def test_normalize_at_shifted_center():
     # center of x' = y - x^2... use the symmetric two-center family at
-    # (1/4, 0); normalization defers a sqrt(2) dilation to quantity_scale
+    # (1/4, 0); normalization leaves a sqrt(2) dilation to the returned scale
     fam = fields.p9_family().bind({"mu": Fraction(0), "alpha": Fraction(0),
                                    "lam": Fraction(0)})
-    nf = normalize_at(fam.P, fam.Q, (Fraction(1, 4), Fraction(0)))
-    assert nf.quantity_scale == Fraction(2)
+    p, q, scale = normalize_at(fam.P, fam.Q, (Fraction(1, 4), Fraction(0)))
+    assert scale == 2
     # normalized linear part is exactly (-y, x)
-    rep = lyapunov_quantities(nf.p, nf.q, 1, quantity_scale=nf.quantity_scale)
+    rep = lyapunov_quantities(p, q, 1)
     assert rep.quantities[0].is_zero()  # unperturbed family is a center
 
 
@@ -68,6 +68,32 @@ def test_normalize_rejects_non_singularity():
                                    "lam": Fraction(0)})
     with pytest.raises(ValueError):
         normalize_at(fam.P, fam.Q, (Fraction(1, 8), Fraction(0)))
+
+
+@pytest.mark.parametrize("f, g, message", [
+    ("-y + a*x", "x", "linear part depends on symbolic parameters"),
+    ("-y + 1", "x", "point is not a singularity"),
+    ("-y + x", "x", "Jacobian is not trace-free"),
+    ("y", "x", "Jacobian determinant is not positive"),
+])
+def test_normalize_at_names_what_is_wrong(f, g, message):
+    vs = ("x", "y", "a")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        normalize_at(parse_poly(f, vs), parse_poly(g, vs), (0, 0))
+
+
+def test_normalize_at_an_off_origin_point_with_a_non_square_determinant():
+    # at (1, 2) the Jacobian is [[1, -2], [3, -1]], det 5: w = sqrt(5)
+    vs = ("x", "y")
+    f = parse_poly("(x - 1) - 2*(y - 2) + (x - 1)^2", vs)
+    g = parse_poly("3*(x - 1) - (y - 2) + (x - 1)*(y - 2)", vs)
+    p, q, scale = normalize_at(f, g, (1, 2))
+    assert scale == 2
+    assert p.graded(vs)[1] == -MultiPoly.var("y", vs)
+    assert q.graded(vs)[1] == MultiPoly.var("x", vs)
+    assert 0 not in p.graded(vs) and 0 not in q.graded(vs)
+    assert any(isinstance(c, QuadExt) and c.b and c.d == 5
+               for h in (p, q) for c in h.terms.values())
 
 
 def test_linear_parts_in():
@@ -124,13 +150,11 @@ def test_top_degree_matches_interior_path_over_quadratic_extension():
     vs = ("x", "y", "l1", "l2")
     p = parse_poly("-y + x^2 - x*y + l1*x*y + l2*y^2", vs)
     q = parse_poly("3*x + x*y - 2*y^2 + l1*x^2", vs)
-    nf = normalize_at(p, q, (0, 0))
+    pn, qn, _ = normalize_at(p, q, (0, 0))
     assert any(isinstance(c, QuadExt) and c.b and c.d == 3
-               for h in (nf.p, nf.q) for c in h.terms.values())
+               for h in (pn, qn) for c in h.terms.values())
     for N in (1, 2, 3):
-        last, inner = (lyapunov_quantities(nf.p, nf.q, n,
-                                           quantity_scale=nf.quantity_scale)
-                       for n in (N, N + 1))
+        last, inner = (lyapunov_quantities(pn, qn, n) for n in (N, N + 1))
         assert last.quantities == inner.quantities[:N]
     assert any("sqrt(3)" in L for L in last.to_json()["quantities"])
 

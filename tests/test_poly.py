@@ -97,7 +97,7 @@ def test_coeffs_in_reassemble(p):
 
 
 def test_parser_rejects_garbage():
-    for bad in ("x +", "2 **", "(x", "x^-1", ""):
+    for bad in ("x +", "2 **", "(x", "x^-1", "", "0^-1", "(x - x)^-2"):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 
@@ -121,6 +121,25 @@ def test_powers_under_the_work_bound_expand(text, degree):
     assert parse_poly(text).degree() == degree
     base, e = text.rsplit("^", 1)
     assert polytext._power_work(parse_poly(base), abs(int(e))) <= polytext.MAX_POWER_WORK
+
+
+@pytest.mark.parametrize("text", [
+    "(x+y+1)^100*(x+y+1)^100", "x*(x+y+1)^60*(x+y+1)^60", "-(x+y+1)^60*-(x+y+1)^60",
+    "(x+y+z+w+1)^12*(x+y+z+w+1)^12", "(sqrt(3)*x+y+1)^20*(x+y+1)^20",
+])
+def test_product_past_the_work_bound_is_refused_before_it_multiplies(text):
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match=r"product would expand past MAX_POWER_WORK"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("(x+y+1)^40*(x+y+1)^40", 80), ("(x+1)^500*(x-1)^500", 1000), ("x*3^1000000", 1),
+    ("(x^2 - 2)*(x^2 + 2)", 4), ("0*(x+y+1)^60", -1),
+])
+def test_products_under_the_work_bound_expand(text, degree):
+    assert parse_poly(text).degree() == degree
 
 
 def test_parser_precedence_and_fractions():
@@ -340,14 +359,15 @@ def kernel_polys(draw, variables=None, quad=None, d=6):
     return MultiPoly(variables, terms)
 
 
-def _sym(sympy, p):
-    def scalar(c):
-        if isinstance(c, QuadExt):
-            return scalar(c.a) + scalar(c.b) * sympy.sqrt(c.d)
-        return sympy.Rational(c.numerator, c.denominator)
+def _sym_scalar(sympy, c):
+    if isinstance(c, QuadExt):
+        return _sym_scalar(sympy, c.a) + _sym_scalar(sympy, c.b) * sympy.sqrt(c.d)
+    return sympy.Rational(c.numerator, c.denominator)
 
+
+def _sym(sympy, p):
     syms = [sympy.Symbol(v) for v in p.variables]
-    return sympy.Add(*[scalar(c) * sympy.Mul(*[s**e for s, e in zip(syms, exp)])
+    return sympy.Add(*[_sym_scalar(sympy, c) * sympy.Mul(*[s**e for s, e in zip(syms, exp)])
                        for exp, c in p.terms.items()])
 
 
@@ -378,11 +398,12 @@ def test_diff_and_evaluate_match_sympy(p, data):
     for v in p.variables:
         assert _same(sympy, p.diff(v), sympy.diff(P, sympy.Symbol(v)))
     names = data.draw(st.sets(st.sampled_from(p.variables)))
-    values = {v: data.draw(rationals) for v in names}
+    # binding values in Q(sqrt 6), the radicand of kernel_polys, too
+    surds = st.builds(QuadExt, rationals, rationals, st.just(6))
+    values = {v: data.draw(st.one_of(rationals, surds)) for v in names}
     out = p.evaluate(values)
     assert out.variables == p.variables
-    subs = {sympy.Symbol(v): sympy.Rational(c.numerator, c.denominator)
-            for v, c in values.items()}
+    subs = {sympy.Symbol(v): _sym_scalar(sympy, c) for v, c in values.items()}
     assert _same(sympy, out, P.subs(subs))
 
 

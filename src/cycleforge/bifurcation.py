@@ -46,9 +46,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
 
@@ -344,22 +341,17 @@ def ggt_analyze(setup: PerturbationSetup, N: Optional[int] = None) -> GGTReport:
     col_den = [d] * (k - 1) + [m_polys[last]]
     M = report.M = [[ratfunc(e, den) for e, den in zip(row, col_den)] for row in Mnum]
 
-    # transformed matrix T = A * M; rows below the identity block carry g and f
-    T = [
-        [ratfunc(sum((A[r][c] * Mnum[c][j] for c in range(p)), zero), col_den[j])
-         for j in range(k)]
-        for r in range(len(A))
-    ]
+    # transformed matrix T = A * M: row j < k-1 must be the j-th coordinate
+    # projection, and the rows below carry g and f
+    AM = [[sum((row[c] * Mnum[c][j] for c in range(p)), zero) for j in range(k)]
+          for row in A]
     for j in range(k - 1):
-        for i in range(k):
-            want_one = i == j
-            ok = T[j][i].is_one() if want_one else T[j][i].is_zero()
-            if not ok:
-                return fail(f"post-reparametrization row {j + 1} is not the "
-                            f"{j + 1}-th coordinate projection")
-    f_funcs = report.f_funcs = [T[k - 1 + i][k - 1] for i in range(len(A) - k + 1)]
-    report.g_coeffs = [[T[k - 1 + i][j] for j in range(k - 1)]
-                       for i in range(len(A) - k + 1)]
+        if any(e != (col_den[j] if i == j else zero) for i, e in enumerate(AM[j])):
+            return fail(f"post-reparametrization row {j + 1} is not the "
+                        f"{j + 1}-th coordinate projection")
+    T = [[ratfunc(e, den) for e, den in zip(row, col_den)] for row in AM[k - 1:]]
+    f_funcs = report.f_funcs = [row[k - 1] for row in T]
+    report.g_coeffs = [row[: k - 1] for row in T]
 
     if len(rest_vars) != 1:
         return fail("zero location needs exactly one center parameter")

@@ -103,10 +103,33 @@ def _emit_json(obj, out: str | None) -> None:
     _write_out(_json_text(obj) + "\n", out)
 
 
+def _exact_number(text: str) -> Fraction:
+    """A number as an exact Fraction, read from its text; no numerator,
+    denominator or decimal exponent may exceed MAX_BIND_BITS."""
+    try:  # the exponent first, so that 1e2000 is never expanded
+        big = abs(int(text.lower().partition("e")[2] or 0)) > MAX_BIND_BITS
+        v = Fraction(0 if big else text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad rational value {text!r}")
+    if big or max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_BIND_BITS:
+        raise InputError(f"value {text} has over {MAX_BIND_BITS} bits")
+    return v
+
+
+def _json_loads(text: str, where: str):
+    """json.loads with every number an exact Fraction through _exact_number;
+    a refused number names `where`."""
+    try:
+        return json.loads(text, parse_float=_exact_number, parse_int=_exact_number,
+                          parse_constant=_exact_number)
+    except InputError as e:
+        raise InputError(f"{where}: {e}")
+
+
 def _read_json_object(path: str) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _json_loads(fh.read(), path)
     except OSError as e:
         raise InputError(str(e))
     except json.JSONDecodeError as e:
@@ -157,20 +180,17 @@ def _check_parameters(flag: str, names, fam: fields.VectorField) -> None:
 
 
 def _parse_binding(spec: str | None, fam: fields.VectorField) -> dict:
-    """--bind as {name: Fraction}; every parameter of fam must be bound, and
-    no numerator, denominator or decimal exponent may exceed MAX_BIND_BITS."""
+    """--bind as {name: Fraction} through _exact_number; every parameter of fam
+    must be bound."""
     out = {}
     for part in spec.split(",") if spec else ():
         if "=" not in part:
             raise InputError(f"bad binding {part!r}; expected name=value")
         name, val = (t.strip() for t in part.split("=", 1))
-        try:  # the exponent first, so that 1e2000 is never expanded
-            big = abs(int(val.lower().partition("e")[2] or 0)) > MAX_BIND_BITS
-            out[name] = v = Fraction(0 if big else val)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational value {val!r} for {name!r}")
-        if big or max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_BIND_BITS:
-            raise InputError(f"--bind value for {name!r} has over {MAX_BIND_BITS} bits")
+        try:
+            out[name] = _exact_number(val)
+        except InputError as e:
+            raise InputError(f"--bind {name!r}: {e}")
     _check_parameters("--bind", out, fam)
     unbound = [v for v in fam.parameters if v not in out]
     if unbound:
@@ -198,7 +218,7 @@ def _cmd_center_certify(args) -> int:
             fam_c = fields.apply_condition(fam, conditions[args.condition])
         else:
             try:
-                cond = json.loads(args.condition)
+                cond = _json_loads(args.condition, "--condition")
             except json.JSONDecodeError:
                 cond = None
             if not isinstance(cond, dict):
@@ -207,22 +227,17 @@ def _cmd_center_certify(args) -> int:
                     "nor a JSON substitution map"
                 )
             _check_parameters("--condition", cond, fam)
-            try:
-                fam_c = fields.apply_condition(fam, cond)
-            except (TypeError, OverflowError) as e:
-                raise InputError(f"bad --condition value: {e}")
+            for name, v in cond.items():
+                if not isinstance(v, (str, Fraction)):
+                    raise InputError(f"--condition value for {name!r} is not a number or a string")
+            fam_c = fields.apply_condition(fam, cond)
     else:
         fam_c = fam
-    extra = []
-    if args.curve:
-        for c in args.curve:
-            extra.append(parse_poly(c, fam_c.variables))
+    extra = [parse_poly(c, fam_c.variables) for c in args.curve or ()]
     cert = centers.certify(fam_c, extra_curves=extra)
     out = {"condition": args.condition, "certificate": cert.to_json()}
     _emit_json(out, args.out)
-    if args.strict and cert.kind == "none":
-        return 1
-    return 0
+    return 1 if (args.strict and cert.kind == "none") else 0
 
 
 def _cmd_eliminate(args) -> int:
@@ -244,7 +259,7 @@ def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
     data = _read_json_object(path)
     try:
         base = _field_from_json(data["base"])
-        terms = [tuple(t) for t in data["terms"]]
+        terms = [(target, sym, str(expr)) for target, sym, expr in data["terms"]]
         point = data.get("point", [0, 0])
         if not (isinstance(point, list) and len(point) == 2):
             raise InputError(f"{path}: point must be two rational coordinates")
@@ -258,9 +273,9 @@ def _load_setup(path: str) -> "bifurcation.PerturbationSetup":
 
 
 def _cmd_bifurcate(args) -> int:
-    if not args.prop and not args.setup:
-        raise InputError("need --prop or --setup")
-    label = None if args.setup else args.prop
+    if bool(args.prop) == bool(args.setup):
+        raise InputError("give exactly one of --prop and --setup")
+    label = args.prop
     if label is None or label in bifurcation.CANNED_SETUPS:
         setup = bifurcation.CANNED_SETUPS[label]() if label else _load_setup(args.setup)
         rep = bifurcation.ggt_analyze(setup, N=args.N)

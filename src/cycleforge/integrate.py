@@ -416,7 +416,10 @@ def refine_cycle_bracket(
     direction: Sequence = (1.0, 0.0),
     **kw,
 ) -> tuple:
-    """Shrink a sign-change radius bracket by bisection on the radius."""
+    """Shrink a sign-change radius bracket by bisection on the radius; the
+    width must be positive and finite."""
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"bracket width must be positive and finite, got {width}")
 
     def disp(r):
         row = return_map(field, binding, focus, direction=direction,

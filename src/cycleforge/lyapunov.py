@@ -16,13 +16,13 @@ run forward from c_(-1) = 0, and at even k the last equation gives L; the
 even c_i run back from c_(k+1) = 0, or at even k from the pinned c_k = 0:
 even degrees pin the x^k coefficient.
 Each P_i is summed from the stored degrees when its sweep reaches it.
-The circle mean of (x d/dy - y d/dx) h is zero, so L_N = sum of
-(i-1)!! (j-1)!! / (k-1)!! P_ij over even i, j at k = 2N+2.  At odd
-k = 2N+1 the sweep is a fixed rational map T of P, so its share of L_N is
-T^t applied to those circle weights.  At N >= 2 the pinned sweep of
-k = 2N is a fixed map too, and L_(N-1) a fixed rational form of the same
-P.  So every coefficient of a degree that reaches 2N, 2N+1 or 2N+2 adds
-its products with small fixed weights to L_N and L_(N-1) when solved:
+The last two quantities are linear forms {degree d: weights on P_d,0..d}.
+The circle mean of (x d/dy - y d/dx) h is zero, so the mean of P_k, the sum
+of (i-1)!! (j-1)!! / (k-1)!! P_ij over even i, j, is L_N at k = 2N+2 and
+L_(N-1) at k = 2N.  At k = 2N+1, and at N >= 2 at k = 2N, the sweep is a
+fixed rational map T of P, so P_k weighs T^t applied to the weights its
+coefficients have in L_N.  Every coefficient of a degree that reaches a
+degree of a form adds its products with those weights when solved:
 degrees 2N and 2N+1 are never swept, and degree 2N-1 is never stored.
 """
 
@@ -100,10 +100,12 @@ class LyapunovReport:
         }
 
 
-def _circle_weight(i: int, j: int) -> Fraction:
-    """Circle mean of x^i y^j over that of x^(i+j), i and j even."""
-    return Fraction(prod(range(i - 1, 0, -2)) * prod(range(j - 1, 0, -2)),
-                    prod(range(i + j - 1, 0, -2)))
+def _mean(d: int) -> dict:
+    """The circle mean of P_d as the form {d: weights on P_d,0..d}: that of
+    x^i y^(d-i) over that of x^d, zero at odd i (d even)."""
+    return {d: [Fraction(prod(range(i - 1, 0, -2)) * prod(range(d - i - 1, 0, -2)),
+                         prod(range(d - 1, 0, -2))) if i % 2 == 0 else 0
+                for i in range(d + 1)]}
 
 
 def _sweep(k: int, coeff, zero: MultiPoly):
@@ -176,53 +178,40 @@ def lyapunov_quantities(
         return sum(terms, next(terms, zero))
 
     K = 2 * count + 1  # never swept: L_N is a fixed linear form in P_K
-    folds: dict = {}  # folded degree d: psi, with P_d,j weighing psi[j] in L_N
 
-    def through(vectors: dict, m: int, i: int, j: int) -> MultiPoly:
-        """Sum of w * vec[i + u] over the products w of c x^i y^j (degree m)
-        that land in P_d, for each d, vec in vectors."""
-        return sum((w * vec[i + u] for d, vec in vectors.items()
-                    for (u, v), f, g in offsets.get(d + 1 - m, ())
-                    if (w := factor(f, g, i, j)) and vec[i + u]), zero)
+    def through(form: dict, m: int, i: int, j: int) -> MultiPoly:
+        """Weight of c x^i y^j (degree m) in the quantity of `form`: the sum of
+        w * form[d][i + u] over the products w of c x^i y^j that land in P_d."""
+        return trunc(sum((w * vec[i + u] for d, vec in form.items()
+                          for (u, v), f, g in offsets.get(d + 1 - m, ())
+                          if (w := factor(f, g, i, j)) and vec[i + u]), zero))
 
-    def weight(m: int, i: int, j: int) -> MultiPoly:
-        """Weight of c x^i y^j of degree m in L_N: through each folded P_d,
-        and through the circle mean of its products at degree K + 1."""
-        ws = [w * _circle_weight(i + u, j + v) for (u, v), f, g in offsets.get(K + 2 - m, ())
-              if (i + u) % 2 == 0 and (w := factor(f, g, i, j))]
-        return trunc(sum(ws, through(folds, m, i, j)))
-
-    # c_d = T P_d, so P_d,j weighs psi_j = sum_i T_ij omega_i with omega_i the
-    # weight of c_d,i.  At N >= 2 degree 2N folds too: its sweep also gives
-    # L_(N-1) = sum_j lam_j P_2N,j, with lam_j under None in column j.
-    lam = None
+    # c_d = T P_d, so P_d,j weighs psi_j = sum_i T_ij omega_i in L_N, with
+    # omega_i the weight of c_d,i; at N >= 2 degree 2N folds too
+    L_N = _mean(K + 1)
     for d in (K, K - 1) if count >= 2 else (K,):
-        omega = [weight(d, i, d - i) for i in range(d + 1)]
+        omega = [through(L_N, d, i, d - i) for i in range(d + 1)]
         cols = [dict(_sweep(d, lambda i: Fraction(i == j), Fraction(0)))
                 for j in range(d + 1)]
-        folds[d] = [sum((omega[i] * t for i, t in col.items() if i is not None and t), zero)
-                    for col in cols]
-        if d % 2 == 0:
-            lam = {d: [col[None] for col in cols]}
-    first = min(folds)  # the first degree not swept
-
+        L_N[d] = [sum((omega[i] * t for i, t in col.items() if i is not None and t), zero)
+                  for col in cols]
+    first = min(L_N)  # the first degree not swept
+    forms = [_mean(K - 1), L_N] if count >= 2 else [L_N][:count]
     quantities: list = []
-    L_top = L_prev = zero
+    folded = [zero] * len(forms)  # L_(N-1) and L_N as they accumulate
 
     def solved(k: int, i: int, c: MultiPoly) -> None:
-        """Add c x^i y^(k-i) to L_N, and to L_(N-1) when degree 2N folds."""
-        nonlocal L_top, L_prev
-        L_top += trunc(c * weight(k, i, k - i))
-        if lam:
-            L_prev += trunc(c * through(lam, k, i, k - i))
+        """Add c x^i y^(k-i) to the folded quantities through their forms."""
+        for n, form in enumerate(forms):
+            folded[n] += trunc(c * through(form, k, i, k - i))
 
     # h_2 = x^2 + y^2 and each coefficient of degree > first - top reach a
-    # folded degree or the circle mean at K + 1
+    # degree of a form
     if count and first - top < 2:
         for i in (0, 2):
             solved(2, i, one)
     for k in range(3, first):
-        series[k] = h = {}  # stays empty at first - 1, which only the weights read
+        series[k] = h = {}  # stays empty at first - 1, which only the forms read
         for i, c in _sweep(k, lambda i: coeff(k, i), zero):
             if i is None:
                 quantities.append(c)
@@ -232,11 +221,7 @@ def lyapunov_quantities(
                 if k < first - 1:
                     h[i, k - i] = c
         series.pop(k + 1 - top, None)  # no later degree reads it
-    if lam:
-        quantities.append(L_prev)
-    if count:
-        quantities.append(L_top)
-    return LyapunovReport(quantities=quantities, parameters=params)
+    return LyapunovReport(quantities=quantities + folded, parameters=params)
 
 
 def linear_parts_in(report: LyapunovReport, symbols: Sequence[str]) -> list:

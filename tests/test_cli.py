@@ -76,6 +76,35 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 2 and "bad.json" in err
 
 
+def test_json_numbers_are_read_exactly_from_their_text(monkeypatch, tmp_path, capsys):
+    # 0.1 is 1/10, not the binary float nearest it
+    seen = []
+    certify = cli.centers.certify
+    monkeypatch.setattr(cli.centers, "certify",
+                        lambda fam, **kw: seen.append(fam.to_json()) or certify(fam, **kw))
+    certificates = []
+    for a11 in ("0.1", '"1/10"'):
+        code, out, err = run(capsys, "center-certify", "--family", "P4", "--condition",
+                             '{"a02": 0, "b20": 0, "a11": %s}' % a11)
+        assert code == 0 and err == ""
+        certificates.append(json.loads(out)["certificate"])
+    assert seen[0] == seen[1] and "1/10" in seen[0]["f"]
+    assert certificates[0] == certificates[1] == {
+        "kind": "separable", "witness": "P and Q split as u(x)*v(y)"}
+    # a number too small or too large for MAX_BIND_BITS, and a boolean, are refused
+    for value in ("1e-400", "1e400", "true"):
+        code, out, err = run(capsys, "center-certify", "--family", "P4", "--condition",
+                             '{"a11": %s}' % value)
+        assert code == 2 and out == "" and err.count("\n") == 1 and "--condition" in err
+    written = []
+    for half in ("0.5", '"1/2"'):
+        src, dst = tmp_path / "game.json", tmp_path / "field.json"
+        src.write_text('{"A": [[%s, 0], [1, -1]], "B": [[0, 1], [1, 0]]}' % half)
+        assert main(["game-build", "--file", str(src), "--out", str(dst)]) == 0
+        written.append(dst.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_bad_binding_is_input_error(capsys):
     code, out, err = run(capsys, "singular", "--family", "P4",
                          "--bind", "a11=two")
@@ -170,6 +199,9 @@ TERM = ('json:{"base": {"f": "y + mu*x*y", "g": "-x + x^2", "variables": ["x", "
         {"base": {"f": "sqrt(2)*y + x*y", "g": "-(1+sqrt(2))*x + x^2"}, "terms": P7_TERMS})],
      "Jacobian determinant 2+sqrt(2)"),
     (["lyap", "--file", 'json:{"f": "y + 0^-1", "g": "-x"}'], "negative power of zero"),
+    (["bifurcate", "--prop", "P9c", "--setup", SETUP + '[0, 0]}'], "exactly one of --prop"),
+    (["bifurcate", "--setup", 'json:{"base": {"f": "y", "g": "-x"}, "terms": [["P", "a", 1]]}'],
+     "a*(1) does not keep"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, named):
     argv = _with_files(argv, tmp_path)

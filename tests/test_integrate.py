@@ -53,6 +53,17 @@ def test_refine_cycle_bracket_requires_sign_change():
                                        1e-3, 2e-3)
 
 
+@pytest.mark.parametrize("width", [math.nan, 0.0, -1.0])
+def test_refine_cycle_bracket_rejects_a_bad_width_before_integrating(monkeypatch, width):
+    def integrated(*args, **kw):
+        raise AssertionError("integrated a radius")
+
+    monkeypatch.setattr(integrate, "return_map", integrated)
+    with pytest.raises(ValueError, match="width"):
+        integrate.refine_cycle_bracket(_center_field(), None, (0, 0),
+                                       0.045, 0.06, width=width)
+
+
 def test_return_map_guard_annulus():
     # strongly unstable focus (trace 2, det 2) leaves the default annulus
     fld = VectorField(parse_poly("y - x", ("x", "y")),

@@ -127,8 +127,8 @@ def test_negative_count_is_rejected():
 @pytest.mark.parametrize("family", [fields.p4_family, fields.p5_family],
                          ids=["ck0-p4_family", "ck0-p5_family"])
 def test_top_degree_matches_interior_path(family):
-    # L_N comes from the fixed weights when N is the last quantity and
-    # from the rotation sweep when a later one is asked for
+    # L_N comes from its linear form when N is the last quantity and from
+    # the rotation sweep when a later one is asked for
     fam = family()
     for N in (1, 2, 3, 4):
         last = lyapunov_quantities(fam.P, fam.Q, N).quantities
@@ -146,17 +146,19 @@ def test_top_degree_matches_interior_path_in_a_jet():
 
 
 def test_top_degree_matches_interior_path_over_quadratic_extension():
-    # det = 3 at the origin: the normalization lives over Q(sqrt(3))
+    # det = 3 at the origin: the normalization lives over Q(sqrt(3)), exact
+    # and in the first-order jet that P9b and T1c take through both folds
     vs = ("x", "y", "l1", "l2")
     p = parse_poly("-y + x^2 - x*y + l1*x*y + l2*y^2", vs)
     q = parse_poly("3*x + x*y - 2*y^2 + l1*x^2", vs)
     pn, qn, _ = normalize_at(p, q, (0, 0))
     assert any(isinstance(c, QuadExt) and c.b and c.d == 3
                for h in (pn, qn) for c in h.terms.values())
-    for N in (1, 2, 3):
-        last, inner = (lyapunov_quantities(pn, qn, n) for n in (N, N + 1))
-        assert last.quantities == inner.quantities[:N]
-    assert any("sqrt(3)" in L for L in last.to_json()["quantities"])
+    for jet in (None, (("l1", "l2"), 1)):
+        for N in (1, 2, 3):
+            last, inner = (lyapunov_quantities(pn, qn, n, jet=jet) for n in (N, N + 1))
+            assert last.quantities == inner.quantities[:N]
+        assert any("sqrt(3)" in L for L in last.to_json()["quantities"])
 
 
 def _sympy_quantities(sympy, f, g, count):
@@ -209,8 +211,9 @@ def test_quantities_match_sympy_undetermined_coefficients():
 
 
 def test_quantities_match_sympy_with_cubic_and_quartic_terms():
-    # degree-3 and -4 terms reach L_N through the weights of degrees below
-    # 2N and the circle mean at 2N+2; at N = 1 only x^2 + y^2 is folded
+    # degree-3 and -4 terms reach L_N through its linear form on P_2N,
+    # P_2N+1 and the circle mean of P_2N+2, and L_(N-1) through the circle
+    # mean of P_2N; at N = 1 only x^2 + y^2 is folded
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2025)
     mons = [(i, d - i) for d in (2, 3, 4) for i in range(d + 1)]
@@ -224,10 +227,10 @@ def test_quantities_match_sympy_with_cubic_and_quartic_terms():
 
 @pytest.mark.parametrize("degrees", [(2, 5), (2, 5, 6)])
 def test_quantities_match_sympy_with_quintic_and_sextic_terms(degrees):
-    # with terms up to degree top the fold of degree 2N reaches down to
-    # degree 2N + 1 - top, and takes x^2 + y^2 in when top >= 2N - 1, for
-    # L_N and L_(N-1) alike; with quintic terms at N = 3 only the fold of 2N
-    # reaches x^2 + y^2, not the fold of 2N + 1
+    # with terms up to degree top the forms on P_2N reach down to degree
+    # 2N + 1 - top, and take x^2 + y^2 in when top >= 2N - 1, for L_N and
+    # L_(N-1) (the circle mean of P_2N) alike; with quintic terms at N = 3
+    # only the forms on P_2N reach x^2 + y^2, not the one on P_2N+1
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2026)
     mons = [(i, d - i) for d in degrees for i in range(d + 1)]
@@ -255,9 +258,9 @@ def _quantities_peak(count: int) -> int:
 def test_memory_of_four_quantities_stays_small():
     # degrees 3..6 are stored while a later degree reads them, degree 7 is
     # never stored and degrees 8 and 9 are never swept: each coefficient of
-    # degree 7 adds to L_3 and L_4 with fixed weights as it is solved.  The
-    # traced heap peak is 444 KiB, and the bound fails a recursion that
-    # sweeps degree 8 and stores 7 (501 KiB)
+    # degree 7 adds to L_3 (the circle mean of P_8) and L_4 (a form on P_8,
+    # P_9 and P_10) as it is solved.  The traced heap peak is 444 KiB, and
+    # the bound fails a recursion that sweeps degree 8 and stores 7 (501 KiB)
     assert _quantities_peak(4) < 0.46 * 2**20
 
 
